@@ -14,21 +14,24 @@ import numpy as np
 LN2 = math.log(2.0)
 LOGIT_TOL = 1e-9
 COPY_TASK = "copy-first-label"
-# every mode reached dev accuracy 1.0 after 8 steps on each of 30 seeds tried;
-# after 2 or 4 steps some runs still predicted one class for everything
+# every mode reached dev accuracy 1.0 after 8 steps on each of 30 seeds tried,
+# with the losses after the first averaging at least 0.0075 below ln 2; after
+# 2 or 4 steps some runs still predicted one class, and a 2-step full
+# fine-tuning run's second loss landed above ln 2
 COPY_ACCURACY_FLOOR = 0.9
 COPY_ACCURACY_STEPS = 8
 
 
 def check_training(label, mode, losses, steps, base_before, base_after,
-                   adapter_before=None, adapter_after=None, task=None, dev_accuracy=None):
+                   adapter_before=None, adapter_after=None, dev_accuracy=None):
     """One run_training call.
 
-    The head starts at zero, so the first loss is exactly ln 2. On
-    copy-first-label the losses after the first must average below ln 2
-    (single batches can still land above it); the other two tasks do not
-    learn reliably within a short call, so their later losses are not
-    checked.
+    The head starts at zero, so the first loss is exactly ln 2. A call that
+    was evaluated (``dev_accuracy`` given: copy-first-label, at least
+    COPY_ACCURACY_STEPS steps) must also have learned: its losses after the
+    first average below ln 2 (single batches can still land above it) and
+    its dev accuracy clears the floor. Shorter calls and the other two tasks
+    do not learn reliably, so their later losses are not checked.
     """
     problems = []
     if len(losses) != steps:
@@ -42,11 +45,11 @@ def check_training(label, mode, losses, steps, base_before, base_after,
             problems.append(f"{label}: adapter digest did not change")
     elif base_after == base_before:
         problems.append(f"{label}: full fine-tuning left the backbone unchanged")
-    if task == COPY_TASK:
+    if dev_accuracy is not None:
         later = losses[1:]
-        if later and not sum(later) / len(later) < LN2:
-            problems.append(f"{label}: losses after the first average {sum(later) / len(later)}, not below ln 2")
-        if dev_accuracy is not None and dev_accuracy < COPY_ACCURACY_FLOOR:
+        if not later or not sum(later) / len(later) < LN2:
+            problems.append(f"{label}: losses after the first do not average below ln 2")
+        if dev_accuracy < COPY_ACCURACY_FLOOR:
             problems.append(f"{label}: dev accuracy {dev_accuracy} below {COPY_ACCURACY_FLOOR}")
     return problems
 

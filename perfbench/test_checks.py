@@ -71,17 +71,20 @@ def test_moved_backbone_digest_is_rejected():
                                    training.TrainConfig(seed=2, max_steps=3), adapter_name="a")
     args = ("t", "adapter_only", result.losses, 3, base0)
     assert checks.check_training(*args, model.digest_base(), adapter0, model.digest_adapter("a"),
-                                 checks.COPY_TASK) == []
+                                 dev_accuracy=1.0) == []
     model.weights.layers[0].w_q.data = model.weights.layers[0].w_q.data + 1e-12
-    assert checks.check_training(*args, model.digest_base(), adapter0, model.digest_adapter("a"),
-                                 checks.COPY_TASK)
-    assert checks.check_training("t", "adapter_only", [0.7] + result.losses[1:], 3, base0, base0,
-                                 adapter0, model.digest_adapter("a"))
-    assert checks.check_training("t", "adapter_only", result.losses, 3, base0, base0, adapter0, adapter0)
-    assert checks.check_training("t", "adapter_only", result.losses[:1] + [0.8, 0.6], 3, base0, base0,
-                                 adapter0, "moved", checks.COPY_TASK)
-    assert checks.check_training("t", "adapter_only", result.losses, 3, base0, base0, adapter0, "moved",
-                                 checks.COPY_TASK, dev_accuracy=0.5)
+    assert checks.check_training(*args, model.digest_base(), adapter0, model.digest_adapter("a"))
+
+
+def test_other_wrong_training_results_are_rejected():
+    losses = [checks.LN2, 0.6, 0.5]
+    assert checks.check_training("t", "adapter_only", losses, 3, "b", "b", "a", "moved", 1.0) == []
+    assert checks.check_training("t", "adapter_only", [0.7] + losses[1:], 3, "b", "b", "a", "moved")
+    assert checks.check_training("t", "adapter_only", losses, 4, "b", "b", "a", "moved")
+    assert checks.check_training("t", "adapter_only", losses, 3, "b", "b", "a", "a")
+    assert checks.check_training("t", "full_finetune", losses, 3, "b", "b")
+    assert checks.check_training("t", "adapter_only", [checks.LN2, 0.8, 0.6], 3, "b", "b", "a", "moved", 1.0)
+    assert checks.check_training("t", "adapter_only", losses, 3, "b", "b", "a", "moved", dev_accuracy=0.5)
 
 
 CARDS = [

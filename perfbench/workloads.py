@@ -192,7 +192,7 @@ class Runner:
             self.check(checks.check_training(
                 f"{mode}/{pre or 'full'}/{task}", mode, result.losses, config.max_steps, base0,
                 model.digest_base(), adapter0, model.digest_adapter("adapter") if pre else None,
-                task, accuracy))
+                accuracy))
 
     # -- serving -------------------------------------------------------------
 
