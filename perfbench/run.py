@@ -117,10 +117,11 @@ def summary(args, runner, rounds, elapsed, metrics, workloads):
         print(f"  malformed input not rejected: {kind} x{n}")
     for name, m in metrics.items():
         line = f"  {name:44s} {m['value']:14.4f} {m['unit']}"
-        samples = runner.samples.get(name)
-        if samples and not args.trace:
+        variants = runner.samples.get(name)
+        if variants and not args.trace:
+            samples = [x for v in variants.values() for x in v]
             median, pct, tail = workloads.median_and_tail(samples)
-            line += f"   (best of {len(samples)}; median {median:.4f}"
+            line += f"   ({len(samples)} samples, {len(variants)} variants; median {median:.4f}"
             line += (f", p{pct} {tail:.4f})" if pct else ")")
         print(line)
     workloads.report_errors(runner)

@@ -105,8 +105,6 @@ def instrument(tracer):
     undo = []
 
     def patch(owner, attr, name, **kw):
-        if not hasattr(owner, attr):  # a later version may drop a primitive
-            return
         original = getattr(owner, attr)
         undo.append((owner, attr, original))
         setattr(owner, attr, tracer.wrap(name, original, **kw))

@@ -37,15 +37,25 @@ END_TO_END = {
     "hub_install_cold_ms": "ms", "hub_install_warm_ms": "ms", "index_cards_per_s": "card/s",
 }
 
-LOGIT_SAMPLE_EVERY = 8  # serve requests whose program logits are compared, not only labels
+# serve requests of one kind (batched or single) take the targets in turn;
+# of the requests of one kind and target, every LOGIT_SAMPLE_EVERY-th has its
+# program logits compared, not only its labels. 7 is coprime to
+# SINGLE_BUCKETS, so every length bucket of every target gets compared.
+LOGIT_SAMPLE_EVERY = 7
+# single requests of one target take their length from 1-8, 9-16, 17-24 and 25-32 in turn
+SINGLE_BUCKETS = 4
 
 
 @dataclass(frozen=True)
 class Mix:
-    """Operations in one round."""
+    """Operations in one round, besides the run_training calls of TRAIN_CALLS.
 
-    train_calls: int  # run_training calls, taken in turn from TRAIN_CALLS
-    train_steps: int  # steps per call
+    Each timing is taken over the variants of its operation (see
+    ``over_variants``), so every round runs every variant: multiples of the
+    four serve targets, of the sixteen target and length pairs of single
+    requests and of the five archives.
+    """
+
     accuracy: bool    # copy-first-label calls run checks.COPY_ACCURACY_STEPS steps and are evaluated
     batched: int      # serve requests of fixture.BATCH sequences
     single: int       # single-sequence serve requests
@@ -55,23 +65,25 @@ class Mix:
     cards: int        # cards per index build
     resolves: int
     installs: int     # cold installs, and as many warm ones
-    validates: int    # `adapterkit validate` on a good package
     malformed: bool   # the malformed-input round
 
 
-# (mode, preset) of successive training calls
-TRAIN_CALLS = [(m, p) for pre in PRESETS for m, p in (("adapter_only", pre), ("full_finetune", None))]
+# (mode, preset) of the training calls of every round, all on the round's task
+TRAIN_CALLS = [("adapter_only", pre) for pre in PRESETS] + [("full_finetune", None)]
+# steps per training call: the fewest that move an adapter (the head starts at
+# zero, so the first step gives the adapter no gradient); short calls give
+# each run many samples
+TRAIN_STEPS = 2
 
 MIXES = {
     # adapter calls share one frozen backbone and their task's 256 examples,
-    # so every example comes back every 16 steps on its task; short calls
-    # give each run many samples
-    "train": Mix(train_calls=2, train_steps=4, accuracy=True, batched=1, single=4, packages=2, packs=1,
-                 indexes=2, cards=25, resolves=2, installs=2, validates=1, malformed=False),
-    "serve": Mix(train_calls=2, train_steps=2, accuracy=False, batched=24, single=24, packages=1, packs=1,
-                 indexes=1, cards=25, resolves=2, installs=2, validates=1, malformed=False),
-    "hub": Mix(train_calls=2, train_steps=2, accuracy=False, batched=1, single=4, packages=2, packs=2,
-               indexes=1, cards=200, resolves=8, installs=4, validates=1, malformed=True),
+    # so every example comes back every 16 steps on its task
+    "train": Mix(accuracy=True, batched=4, single=16, packages=2, packs=1,
+                 indexes=2, cards=25, resolves=2, installs=5, malformed=False),
+    "serve": Mix(accuracy=False, batched=16, single=32, packages=1, packs=1,
+                 indexes=2, cards=25, resolves=2, installs=5, malformed=False),
+    "hub": Mix(accuracy=False, batched=4, single=16, packages=2, packs=2,
+               indexes=1, cards=200, resolves=8, installs=10, malformed=True),
 }
 
 
@@ -85,7 +97,8 @@ def _quiet_cli(argv):
 class Runner:
     def __init__(self, fx, mix, seed, tracer):
         self.fx, self.mix, self.tracer = fx, mix, tracer
-        self.samples = defaultdict(list)  # end-to-end samples
+        self.samples = defaultdict(lambda: defaultdict(list))  # metric -> variant -> samples
+        self.index_parts = defaultdict(list)  # part of an index cycle -> seconds
         self.counts = Counter()           # denominators of the per-layer metrics
         self.attempted = self.failed = 0
         self.problems = []
@@ -96,7 +109,7 @@ class Runner:
         self.requests = np.random.default_rng(serve_ss)
         self.shuffles = np.random.default_rng(index_ss)
         self.seen = set()
-        self.served = 0
+        self.served = Counter()  # requests served so far, by kind (batched or not)
         self.fresh_checked = False
 
     # -- bookkeeping -------------------------------------------------------
@@ -123,12 +136,10 @@ class Runner:
 
     def round(self, r):
         mix = self.mix
-        for j in range(mix.train_calls):
-            call = r * mix.train_calls + j
-            mode, pre = TRAIN_CALLS[call % len(TRAIN_CALLS)]
-            task = training.TASKS[call // len(TRAIN_CALLS) % len(training.TASKS)]
-            evaluate = mix.accuracy and task == checks.COPY_TASK
-            steps = checks.COPY_ACCURACY_STEPS if evaluate else mix.train_steps
+        task = training.TASKS[r % len(training.TASKS)]
+        evaluate = mix.accuracy and task == checks.COPY_TASK
+        steps = checks.COPY_ACCURACY_STEPS if evaluate else TRAIN_STEPS
+        for j, (mode, pre) in enumerate(TRAIN_CALLS):
             self.tracer.rid = f"r{r}.train{j}.{pre or 'full'}"
             self.attempt(self.tracer.rid, steps, lambda: self.train(mode, pre, task, steps, evaluate))
         order = sorted([(i / mix.batched, True) for i in range(mix.batched)]
@@ -155,9 +166,8 @@ class Runner:
             for cold in (True, False):
                 self.tracer.rid = f"r{r}.install{j}.{'cold' if cold else 'warm'}"
                 self.attempt(self.tracer.rid, 1, lambda: self.install(name, cold))
-        for j in range(mix.validates):
-            self.tracer.rid = f"r{r}.validate{j}"
-            self.attempt(self.tracer.rid, 1, self.validate)
+        self.tracer.rid = f"r{r}.validate"
+        self.attempt(self.tracer.rid, 1, self.validate)
         if mix.malformed:
             for kind, lib_call, argv in self.fx.malformed:
                 self.tracer.rid = f"r{r}.malformed.{kind}"
@@ -185,7 +195,8 @@ class Runner:
         result, dt = self.timed("bench.train", lambda: training.run_training(
             model, train_x, train_y, config, adapter_name="adapter" if pre else None))
         seqs = config.batch_size * config.max_steps
-        self.samples["train_adapter_seqs_per_s" if pre else "train_full_seqs_per_s"].append(seqs / dt)
+        metric = "train_adapter_seqs_per_s" if pre else "train_full_seqs_per_s"
+        self.samples[metric][pre].append(seqs / dt)
         self.counts.update(seqs=seqs, trained_seqs=seqs, steps=config.max_steps)
         with self.tracer.paused():
             accuracy = training.evaluate(model, dev_x, dev_y)["accuracy"] if evaluate else None
@@ -196,10 +207,9 @@ class Runner:
 
     # -- serving -------------------------------------------------------------
 
-    def fresh_sequence(self, n=None):
-        """A sequence never served before in this run; a length whose short
-        pool is used up (there are only 128 one-token sequences) moves up by one."""
-        n = int(self.requests.integers(1, fixture.MAX_LEN + 1)) if n is None else n
+    def fresh_sequence(self, n):
+        """A sequence of ``n`` tokens never served before in this run; a length whose
+        short pool is used up (there are only 128 one-token sequences) moves up by one."""
         for attempt in range(1, 10_000):
             seq = tuple(int(t) for t in self.requests.integers(0, self.fx.config.vocab_size, size=n))
             if seq not in self.seen:
@@ -211,15 +221,22 @@ class Runner:
 
     def serve(self, batched):
         fx = self.fx
-        target = list(fixture.SERVE_TARGETS)[self.served % len(fixture.SERVE_TARGETS)]
-        self.served += 1
+        targets = list(fixture.SERVE_TARGETS)
+        n = self.served[batched]
+        self.served[batched] += 1
+        target = targets[n % len(targets)]
+        k = n // len(targets)  # index of this request among those of its kind and target
         stack, head = fixture.SERVE_TARGETS[target]
         if batched:
             # one length from each pair 1-2, 3-4, ..., 31-32, so every batch carries about the same work
             lengths = 2 * np.arange(fixture.BATCH) + 1 + self.requests.integers(0, 2, size=fixture.BATCH)
-            seqs = [self.fresh_sequence(int(n)) for n in self.requests.permutation(lengths)]
+            seqs = [self.fresh_sequence(int(length)) for length in self.requests.permutation(lengths)]
+            variant = target
         else:
-            seqs = [self.fresh_sequence()]
+            width = fixture.MAX_LEN // SINGLE_BUCKETS
+            bucket = k % SINGLE_BUCKETS
+            seqs = [self.fresh_sequence(bucket * width + 1 + int(self.requests.integers(width)))]
+            variant = target, bucket
 
         def request():
             fx.consumer.set_active_adapters(stack)
@@ -227,14 +244,14 @@ class Runner:
 
         labels, dt = self.timed("bench.serve", request)
         if batched:
-            self.samples["serve_seqs_per_s"].append(len(seqs) / dt)
+            self.samples["serve_seqs_per_s"][variant].append(len(seqs) / dt)
         else:
-            self.samples["serve_single_ms"].append(dt * 1e3)
+            self.samples["serve_single_ms"][variant].append(dt * 1e3)
         self.counts.update(seqs=len(seqs), served_seqs=len(seqs))
         with self.tracer.paused():
             ref = [reference.logits(fx.config, fx.base, fx.hooks[target], fx.heads[head], s) for s in seqs]
             self.check(checks.check_labels(f"serve/{target}", labels, ref))
-            if self.served % LOGIT_SAMPLE_EVERY == 1:
+            if k % LOGIT_SAMPLE_EVERY == 0:
                 self.check(checks.check_logits(f"serve/{target}", fx.consumer.batch_logits(seqs, head).data,
                                                np.array(ref)))
             if not self.fresh_checked:
@@ -259,7 +276,7 @@ class Runner:
         digest, dt = self.timed("bench.pkg_save", lambda: package_io.save_adapter_package(
             fx.ref_path, fixture.REF_CONFIG, fx.ref_entry))
         size = fx.ref_path.stat().st_size
-        self.samples["pkg_save_mb_per_s"].append(size / 1e6 / dt)
+        self.samples["pkg_save_mb_per_s"][None].append(size / 1e6 / dt)
         with self.tracer.paused():
             self.check(checks.check_saved_digest("package save", digest, fx.ref_path))
 
@@ -267,7 +284,7 @@ class Runner:
         fx = self.fx
         size = fx.ref_path.stat().st_size
         pkg, dt = self.timed("bench.pkg_load", lambda: package_io.load_adapter_package(fx.ref_path))
-        self.samples["pkg_load_mb_per_s"].append(size / 1e6 / dt)
+        self.samples["pkg_load_mb_per_s"][None].append(size / 1e6 / dt)
         self.counts.update(loaded_bytes=size)
         with self.tracer.paused():
             self.check(checks.check_loaded_package("package load", pkg, fx.ref_source, fixture.REF_PARAMS))
@@ -281,14 +298,25 @@ class Runner:
                 self.problems.append(f"pack: archive of {card['adapter_id']} is not deterministic")
 
     def index(self):
-        texts = [self.fx.card_texts[i] for i in self.shuffles.permutation(self.mix.cards)]
+        order = self.shuffles.permutation(self.mix.cards)
+        parts = self.index_parts
 
         def cycle():
-            text = hub.build_index([hub.ingest_metadata(t) for t in texts])
-            return text, hub.parse_index(text)
+            ingested = []
+            for i in order:
+                t0 = perf_counter()
+                ingested.append(hub.ingest_metadata(self.fx.card_texts[i]))
+                parts[f"ingest{i}"].append(perf_counter() - t0)
+            t0 = perf_counter()
+            text = hub.build_index(ingested)
+            t1 = perf_counter()
+            entries = hub.parse_index(text)
+            parts["build"].append(t1 - t0)
+            parts["parse"].append(perf_counter() - t1)
+            return text, entries
 
         (text, entries), dt = self.timed("bench.index", cycle)
-        self.samples["index_cards_per_s"].append(len(texts) / dt)
+        self.samples["index_cards_per_s"][None].append(len(order) / dt)
         with self.tracer.paused():
             self.check(checks.check_index("index", text, self.fx.index_text))
             if [e.to_dict() for e in entries] != [e.to_dict() for e in self.fx.entries]:
@@ -318,7 +346,7 @@ class Runner:
             (fx.cache / f"{card['sha256']}.zip").unlink(missing_ok=True)
         (installed, _, downloaded), dt = self.timed("bench.install", lambda: hub.install_from_hub(
             fx.installer, fx.entries, card["adapter_id"], cache_dir=fx.cache, rename="installed"))
-        self.samples["hub_install_cold_ms" if cold else "hub_install_warm_ms"].append(dt * 1e3)
+        self.samples["hub_install_cold_ms" if cold else "hub_install_warm_ms"][name].append(dt * 1e3)
         with self.tracer.paused():
             self.check(checks.check_install(f"install {name}", downloaded, cold,
                                             fx.installer.digest_adapter(installed), fx.digests[name]))
@@ -378,6 +406,18 @@ def best(samples, higher_is_better):
     return max(samples) if higher_is_better else min(samples)
 
 
+def over_variants(variants, higher_is_better):
+    """One figure over every variant of an operation (preset, serve target,
+    length bucket, archive), so that each counts however cheap it is: the
+    best sample of each variant, then for rates their harmonic mean (the
+    rate of running every variant once at its best) and for latencies
+    their arithmetic mean."""
+    bests = [best(samples, higher_is_better) for samples in variants.values()]
+    if higher_is_better:
+        return len(bests) / sum(1.0 / b for b in bests)
+    return statistics.fmean(bests)
+
+
 def median_and_tail(values):
     """Median, and the highest percentile with at least ten samples beyond it (None under 40 samples)."""
     values = sorted(values)
@@ -395,7 +435,12 @@ def report_errors(runner, limit=5):
 
 def end_to_end(runner, setup_times):
     """Every end-to-end metric of an untraced run, with its unit."""
-    values = {name: best(samples, name.endswith("_per_s")) for name, samples in runner.samples.items()}
-    values["setup_s"] = statistics.median(setup_times)
+    values = {name: over_variants(variants, name.endswith("_per_s"))
+              for name, variants in runner.samples.items()}
+    # A 200-card index cycle lasts over a tenth of a second, long enough that
+    # few whole cycles escape the contended phases; its parts (each card's
+    # ingest, the build, the parse) are short, so each is taken at its best.
+    values["index_cards_per_s"] = runner.mix.cards / sum(best(t, False) for t in runner.index_parts.values())
+    values["setup_s"] = best(setup_times, higher_is_better=False)
     values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
