@@ -67,7 +67,7 @@ def main(argv=None):
 
     def spread_setups(elapsed):
         """Repeat the set-up, timed, at even intervals through the run."""
-        if len(setup_times) < SETUP_REPEATS and elapsed >= len(setup_times) * args.seconds / SETUP_REPEATS:
+        while len(setup_times) < SETUP_REPEATS and elapsed >= len(setup_times) * args.seconds / SETUP_REPEATS:
             extra = run_dir / f"setup{len(setup_times)}"
             setup(extra)
             shutil.rmtree(extra)

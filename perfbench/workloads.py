@@ -48,15 +48,18 @@ SINGLE_BUCKETS = 4
 
 @dataclass(frozen=True)
 class Mix:
-    """Operations in one round, besides the run_training calls of TRAIN_CALLS.
+    """Operations in one round.
 
     Each timing is taken over the variants of its operation (see
     ``over_variants``), so every round runs every variant: multiples of the
     four serve targets, of the sixteen target and length pairs of single
-    requests and of the five archives.
+    requests and of the five archives. A best sample is only as steady as
+    the number of samples behind it, so the short operations, which cost a
+    round little, run several times per variant.
     """
 
-    accuracy: bool    # copy-first-label calls run checks.COPY_ACCURACY_STEPS steps and are evaluated
+    train_passes: int  # passes over TRAIN_CALLS, each call TRAIN_STEPS steps on the round's task
+    accuracy: bool    # one evaluated copy-first-label call of checks.COPY_ACCURACY_STEPS steps
     batched: int      # serve requests of fixture.BATCH sequences
     single: int       # single-sequence serve requests
     packages: int     # reference package saves, and as many loads
@@ -68,22 +71,24 @@ class Mix:
     malformed: bool   # the malformed-input round
 
 
-# (mode, preset) of the training calls of every round, all on the round's task
+# (mode, preset) of the training calls of every pass, all on the round's task
 TRAIN_CALLS = [("adapter_only", pre) for pre in PRESETS] + [("full_finetune", None)]
-# steps per training call: the fewest that move an adapter (the head starts at
-# zero, so the first step gives the adapter no gradient); short calls give
-# each run many samples
+# steps per timed training call: the fewest that move an adapter (the head
+# starts at zero, so the first step gives the adapter no gradient). A call
+# lasts about a tenth of a second, long enough that few calls escape the
+# machine's contended phases, so the rates are taken only from these short
+# calls and each run makes many of them; the evaluated calls are not timed.
 TRAIN_STEPS = 2
 
 MIXES = {
     # adapter calls share one frozen backbone and their task's 256 examples,
     # so every example comes back every 16 steps on its task
-    "train": Mix(accuracy=True, batched=4, single=16, packages=2, packs=1,
-                 indexes=2, cards=25, resolves=2, installs=5, malformed=False),
-    "serve": Mix(accuracy=False, batched=16, single=32, packages=1, packs=1,
-                 indexes=2, cards=25, resolves=2, installs=5, malformed=False),
-    "hub": Mix(accuracy=False, batched=4, single=16, packages=2, packs=2,
-               indexes=1, cards=200, resolves=8, installs=10, malformed=True),
+    "train": Mix(train_passes=4, accuracy=True, batched=8, single=32, packages=4, packs=1,
+                 indexes=4, cards=25, resolves=2, installs=15, malformed=False),
+    "serve": Mix(train_passes=2, accuracy=False, batched=16, single=64, packages=4, packs=1,
+                 indexes=4, cards=25, resolves=2, installs=15, malformed=False),
+    "hub": Mix(train_passes=2, accuracy=False, batched=8, single=32, packages=4, packs=2,
+               indexes=1, cards=200, resolves=8, installs=25, malformed=True),
 }
 
 
@@ -135,46 +140,77 @@ class Runner:
     # -- one round ---------------------------------------------------------
 
     def round(self, r):
+        """Every operation of the mix once. Each kind of operation is spread
+        evenly through the round instead of running in one burst: the
+        machine's contended phases come and go, and a kind whose samples
+        all fall in a few bursts can miss every quiet moment of a run."""
         mix = self.mix
         task = training.TASKS[r % len(training.TASKS)]
-        evaluate = mix.accuracy and task == checks.COPY_TASK
-        steps = checks.COPY_ACCURACY_STEPS if evaluate else TRAIN_STEPS
-        for j, (mode, pre) in enumerate(TRAIN_CALLS):
-            self.tracer.rid = f"r{r}.train{j}.{pre or 'full'}"
-            self.attempt(self.tracer.rid, steps, lambda: self.train(mode, pre, task, steps, evaluate))
-        order = sorted([(i / mix.batched, True) for i in range(mix.batched)]
-                       + [(i / mix.single, False) for i in range(mix.single)])
-        for j, (_, batched) in enumerate(order):
-            self.tracer.rid = f"r{r}.serve{j}"
-            self.attempt(self.tracer.rid, 1, lambda: self.serve(batched))
-        for j in range(mix.packages):
-            self.tracer.rid = f"r{r}.package{j}"
+        archives = list(self.fx.archives)
+
+        def train(i):
+            mode, pre = TRAIN_CALLS[i % len(TRAIN_CALLS)]
+            self.tracer.rid = f"r{r}.train{i}.{pre or 'full'}"
+            self.attempt(self.tracer.rid, TRAIN_STEPS,
+                         lambda: self.train(mode, pre, task, TRAIN_STEPS, evaluate=False))
+
+        def evaluated(_):
+            # the calls take turns, so every run of four rounds or more evaluates each
+            mode, pre = TRAIN_CALLS[r % len(TRAIN_CALLS)]
+            self.tracer.rid = f"r{r}.train-eval.{pre or 'full'}"
+            self.attempt(self.tracer.rid, checks.COPY_ACCURACY_STEPS, lambda: self.train(
+                mode, pre, checks.COPY_TASK, checks.COPY_ACCURACY_STEPS, evaluate=True))
+
+        def serve(batched):
+            def run(i):
+                self.tracer.rid = f"r{r}.serve{i}.{'batched' if batched else 'single'}"
+                self.attempt(self.tracer.rid, 1, lambda: self.serve(batched))
+            return run
+
+        def package(i):
+            self.tracer.rid = f"r{r}.package{i}"
             self.attempt(self.tracer.rid + ".save", 1, self.pkg_save)
             self.attempt(self.tracer.rid + ".load", 1, self.pkg_load)
-        for j in range(mix.packs):
-            self.tracer.rid = f"r{r}.pack{j}"
-            self.attempt(self.tracer.rid, 1, lambda: self.pack(r * mix.packs + j))
-        for j in range(mix.indexes):
-            self.tracer.rid = f"r{r}.index{j}"
+
+        def pack(i):
+            self.tracer.rid = f"r{r}.pack{i}"
+            self.attempt(self.tracer.rid, 1, lambda: self.pack(r * mix.packs + i))
+
+        def index(i):
+            self.tracer.rid = f"r{r}.index{i}"
             self.attempt(self.tracer.rid, 1, self.index)
-        for j in range(mix.resolves):
-            self.tracer.rid = f"r{r}.resolve{j}"
-            query = self.fx.queries[(r * mix.resolves + j) % len(self.fx.queries)]
+
+        def resolve(i):
+            self.tracer.rid = f"r{r}.resolve{i}"
+            query = self.fx.queries[(r * mix.resolves + i) % len(self.fx.queries)]
             self.attempt(self.tracer.rid, 1, lambda: self.resolve(query))
-        for j in range(mix.installs):
-            name = list(self.fx.archives)[(r * mix.installs + j) % len(self.fx.archives)]
+
+        def install(i):
+            name = archives[(r * mix.installs + i) % len(archives)]
             for cold in (True, False):
-                self.tracer.rid = f"r{r}.install{j}.{'cold' if cold else 'warm'}"
+                self.tracer.rid = f"r{r}.install{i}.{'cold' if cold else 'warm'}"
                 self.attempt(self.tracer.rid, 1, lambda: self.install(name, cold))
-        self.tracer.rid = f"r{r}.validate"
-        self.attempt(self.tracer.rid, 1, self.validate)
-        if mix.malformed:
+
+        def validate(_):
+            self.tracer.rid = f"r{r}.validate"
+            self.attempt(self.tracer.rid, 1, self.validate)
+
+        def malformed(_):
             for kind, lib_call, argv in self.fx.malformed:
                 self.tracer.rid = f"r{r}.malformed.{kind}"
                 self.attempted += 1
                 if not self.malformed(lib_call, argv):
                     self.failed += 1
                     self.malformed_failures[kind] += 1
+
+        kinds = [(mix.train_passes * len(TRAIN_CALLS), train), (int(mix.accuracy), evaluated),
+                 (mix.batched, serve(True)), (mix.single, serve(False)), (mix.packages, package),
+                 (mix.packs, pack), (mix.indexes, index), (mix.resolves, resolve),
+                 (mix.installs, install), (1, validate), (int(mix.malformed), malformed)]
+        # the i-th of a kind's n operations runs at (i + 1/2) / n of the way through the round
+        schedule = sorted(((i + 0.5) / n, k, i) for k, (n, _) in enumerate(kinds) for i in range(n))
+        for _, k, i in schedule:
+            kinds[k][1](i)
         self.tracer.rid = None
 
     # -- training ------------------------------------------------------------
@@ -195,8 +231,9 @@ class Runner:
         result, dt = self.timed("bench.train", lambda: training.run_training(
             model, train_x, train_y, config, adapter_name="adapter" if pre else None))
         seqs = config.batch_size * config.max_steps
-        metric = "train_adapter_seqs_per_s" if pre else "train_full_seqs_per_s"
-        self.samples[metric][pre].append(seqs / dt)
+        if not evaluate:
+            metric = "train_adapter_seqs_per_s" if pre else "train_full_seqs_per_s"
+            self.samples[metric][pre].append(seqs / dt)
         self.counts.update(seqs=seqs, trained_seqs=seqs, steps=config.max_steps)
         with self.tracer.paused():
             accuracy = training.evaluate(model, dev_x, dev_y)["accuracy"] if evaluate else None
