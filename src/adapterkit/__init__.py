@@ -9,7 +9,7 @@ from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_forward,
                        count_adapter_params, count_point_params,
                        init_layer_weights, preset, resolve_bottleneck,
                        resolve_config)
-from .autodiff import (Tape, Tensor, activation, apply_primitive, backward,
+from .autodiff import (Tape, Tensor, activation, backward,
                        finite_difference_check, tensor)
 from .backbone import (BackboneWeights, ModelConfig, count_backbone_params,
                        encode, init_backbone)
@@ -34,7 +34,7 @@ __all__ = [
     "AdapterConfig", "AdapterLayerWeights", "adapter_forward",
     "count_adapter_params", "count_point_params", "init_layer_weights",
     "preset", "resolve_bottleneck", "resolve_config",
-    "Tape", "Tensor", "activation", "apply_primitive", "backward",
+    "Tape", "Tensor", "activation", "backward",
     "finite_difference_check", "tensor",
     "BackboneWeights", "ModelConfig", "count_backbone_params", "encode",
     "init_backbone",

@@ -12,20 +12,18 @@ Freshly initialized adapters are exact identities on their residual path
 changes its output until training happens.
 """
 
-import hashlib
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from .codec import Descriptor
 from .errors import ShapeMismatchError
 
 ADAPTER_INPUT_CHOICES = ("sublayer_output", "after_original_ln")
 RESIDUAL_SOURCE_CHOICES = ("adapter_input", "pre_sublayer")
 NON_LINEARITIES = ("relu", "gelu", "swish", "tanh")
-
-PRESET_NAMES = ("pfeiffer", "houlsby", "bapna")
 
 
 class BottleneckClampWarning(UserWarning):
@@ -53,7 +51,7 @@ def resolve_bottleneck(hidden_size, reduction_factor):
 
 
 @dataclass(frozen=True)
-class AdapterConfig:
+class AdapterConfig(Descriptor):
     """Architecture of one adapter; hashes to a stable identity."""
 
     reduction_factor: int = 16
@@ -77,19 +75,6 @@ class AdapterConfig:
         if self.residual_source not in RESIDUAL_SOURCE_CHOICES:
             raise ValueError(f"residual_source must be one of {RESIDUAL_SOURCE_CHOICES}")
 
-    def descriptor(self):
-        """Canonical flat key=value text; its hash identifies the architecture."""
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
-    def config_hash(self):
-        return hashlib.sha256(self.descriptor().encode("utf-8")).hexdigest()
-
     def insertion_points(self):
         points = []
         if self.mh_adapter:
@@ -97,34 +82,6 @@ class AdapterConfig:
         if self.output_adapter:
             points.append("output")
         return points
-
-
-def parse_config_descriptor(text):
-    """Inverse of :meth:`AdapterConfig.descriptor`."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad descriptor line {lineno}: {line!r}")
-        key, _, raw = line.partition("=")
-        values[key] = raw
-    known = {f.name: f.type for f in fields(AdapterConfig)}
-    unknown = set(values) - set(known)
-    if unknown:
-        raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in values.items():
-        if known[name] is int:
-            kwargs[name] = int(raw)
-        elif known[name] is bool:
-            if raw not in ("true", "false"):
-                raise ValueError(f"bad boolean for {name}: {raw!r}")
-            kwargs[name] = raw == "true"
-        else:
-            kwargs[name] = raw
-    return AdapterConfig(**kwargs)
 
 
 _PRESETS = {
@@ -150,6 +107,7 @@ _PRESETS = {
         adapter_input="after_original_ln",
     ),
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name, reduction_factor=None):
@@ -158,22 +116,16 @@ def preset(name, reduction_factor=None):
         cfg = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}") from None
-    if reduction_factor is not None:
-        cfg = AdapterConfig(**{**_as_kwargs(cfg), "reduction_factor": int(reduction_factor)})
-    return cfg
-
-
-def _as_kwargs(cfg):
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return resolve_config(cfg, reduction_factor)
 
 
 def resolve_config(spec_or_name, reduction_factor=None):
     """Accept an AdapterConfig or a preset name; return an AdapterConfig."""
-    if isinstance(spec_or_name, AdapterConfig):
-        if reduction_factor is not None:
-            return AdapterConfig(**{**_as_kwargs(spec_or_name), "reduction_factor": int(reduction_factor)})
+    if not isinstance(spec_or_name, AdapterConfig):
+        return preset(spec_or_name, reduction_factor)
+    if reduction_factor is None:
         return spec_or_name
-    return preset(spec_or_name, reduction_factor)
+    return replace(spec_or_name, reduction_factor=int(reduction_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +146,21 @@ class AdapterLayerWeights:
     ln_after_beta: ad.Tensor | None = None
 
     def named_tensors(self):
-        for name in ("w_down", "b_down", "w_up", "b_up",
-                     "ln_before_gamma", "ln_before_beta",
-                     "ln_after_gamma", "ln_after_beta"):
-            t = getattr(self, name)
+        for f in fields(self):
+            t = getattr(self, f.name)
             if t is not None:
-                yield name, t
+                yield f.name, t
+
+
+def point_layout(hidden_size, config):
+    """Ordered (name, shape) of one adapter instance's tensors (one layer, one point)."""
+    h, b = hidden_size, resolve_bottleneck(hidden_size, config.reduction_factor)
+    layout = [("w_down", (h, b)), ("b_down", (b,)), ("w_up", (b, h)), ("b_up", (h,))]
+    if config.new_ln_before:
+        layout += [("ln_before_gamma", (h,)), ("ln_before_beta", (h,))]
+    if config.new_ln_after:
+        layout += [("ln_after_gamma", (h,)), ("ln_after_beta", (h,))]
+    return layout
 
 
 def truncated_normal(rng, shape, std=0.02, bound=2.0):
@@ -214,21 +175,14 @@ def truncated_normal(rng, shape, std=0.02, bound=2.0):
 
 
 def init_layer_weights(hidden_size, config, rng):
-    """Identity-initialized weights: down-projection random, everything else zero."""
-    b = resolve_bottleneck(hidden_size, config.reduction_factor)
-    w = AdapterLayerWeights(
-        w_down=ad.tensor(truncated_normal(rng, (hidden_size, b))),
-        b_down=ad.tensor(np.zeros(b)),
-        w_up=ad.tensor(np.zeros((b, hidden_size))),
-        b_up=ad.tensor(np.zeros(hidden_size)),
-    )
-    if config.new_ln_before:
-        w.ln_before_gamma = ad.tensor(np.ones(hidden_size))
-        w.ln_before_beta = ad.tensor(np.zeros(hidden_size))
-    if config.new_ln_after:
-        w.ln_after_gamma = ad.tensor(np.ones(hidden_size))
-        w.ln_after_beta = ad.tensor(np.zeros(hidden_size))
-    return w
+    """Identity-initialized weights: down-projection random, LN gains one, everything else zero."""
+    def init(name, shape):
+        if name == "w_down":
+            return truncated_normal(rng, shape)
+        return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+
+    return AdapterLayerWeights(**{name: ad.tensor(init(name, shape))
+                                  for name, shape in point_layout(hidden_size, config)})
 
 
 def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):
@@ -260,13 +214,7 @@ def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):
 
 def count_point_params(hidden_size, config):
     """Parameters of one adapter instance (one layer, one insertion point)."""
-    b = resolve_bottleneck(hidden_size, config.reduction_factor)
-    n = hidden_size * b + b + b * hidden_size + hidden_size
-    if config.new_ln_before:
-        n += 2 * hidden_size
-    if config.new_ln_after:
-        n += 2 * hidden_size
-    return n
+    return sum(int(np.prod(shape)) for _, shape in point_layout(hidden_size, config))
 
 
 def count_adapter_params(model_config, config):

@@ -420,28 +420,6 @@ def mean_squared_error(pred, target):
 
 _ACTIVATIONS = {"relu": relu, "gelu": gelu, "swish": swish, "tanh": tanh}
 
-_PRIMITIVES = {
-    "matmul": matmul,
-    "transpose": transpose,
-    "add": add,
-    "add_bias": add_bias,
-    "scale": scale,
-    "relu": relu,
-    "gelu": gelu,
-    "swish": swish,
-    "tanh": tanh,
-    "softmax_rows": softmax_rows,
-    "layer_norm": layer_norm,
-    "embedding_lookup": embedding_lookup,
-    "mean_pool_first": mean_pool_first,
-    "slice_cols": slice_cols,
-    "concat_cols": concat_cols,
-    "stack_rows": stack_rows,
-    "sum_all": sum_all,
-    "cross_entropy": cross_entropy,
-    "mean_squared_error": mean_squared_error,
-}
-
 
 def activation(name, x):
     """Apply one of the named activations: relu, gelu, swish, tanh."""
@@ -450,15 +428,6 @@ def activation(name, x):
     except KeyError:
         raise ValueError(f"unknown activation {name!r}; valid: {sorted(_ACTIVATIONS)}") from None
     return fn(x)
-
-
-def apply_primitive(kind, *args, **kwargs):
-    """Dispatch a primitive by kind name (the generic entry point)."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive {kind!r}; valid: {sorted(_PRIMITIVES)}") from None
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ The pooled representation is the first position's hidden state; prediction
 heads own any further projection.
 """
 
-import hashlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,11 +17,12 @@ import numpy as np
 from . import adapters as adp
 from . import autodiff as ad
 from .adapters import truncated_normal
+from .codec import Descriptor
 from .errors import ShapeMismatchError
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Descriptor):
     """Architecture descriptor; two models are compatible iff all fields match."""
 
     model_type: str = "mini-bert"
@@ -45,35 +45,9 @@ class ModelConfig:
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
 
-    def descriptor(self):
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
-    def config_hash(self):
-        return hashlib.sha256(self.descriptor().encode("utf-8")).hexdigest()
-
     @property
     def head_dim(self):
         return self.hidden_size // self.num_heads
-
-
-def parse_model_descriptor(text):
-    """Inverse of :meth:`ModelConfig.descriptor`."""
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, raw = line.partition("=")
-        values[key] = raw
-    known = {f.name: f.type for f in fields(ModelConfig)}
-    unknown = set(values) - set(known)
-    if unknown:
-        raise ValueError(f"unknown model descriptor keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in values.items():
-        kwargs[name] = known[name](raw) if known[name] is not str else raw
-    return ModelConfig(**kwargs)
 
 
 @dataclass
@@ -113,56 +87,64 @@ class BackboneWeights:
     layers: list = field(default_factory=list)
 
     def named_tensors(self):
-        yield "token_embeddings", self.token_embeddings
-        yield "position_embeddings", self.position_embeddings
-        yield "emb_ln_gamma", self.emb_ln_gamma
-        yield "emb_ln_beta", self.emb_ln_beta
+        for f in fields(self):
+            if f.name != "layers":
+                yield f.name, getattr(self, f.name)
         for i, layer in enumerate(self.layers):
             for name, t in layer.named_tensors():
                 yield f"layer{i}.{name}", t
 
 
+def _embedding_layout(config):
+    h = config.hidden_size
+    return [("token_embeddings", (config.vocab_size, h)),
+            ("position_embeddings", (config.max_seq_len, h)),
+            ("emb_ln_gamma", (h,)), ("emb_ln_beta", (h,))]
+
+
+def _layer_layout(config):
+    h, f = config.hidden_size, config.ffn_size
+    return [("w_q", (h, h)), ("b_q", (h,)), ("w_k", (h, h)), ("b_k", (h,)),
+            ("w_v", (h, h)), ("b_v", (h,)), ("w_o", (h, h)), ("b_o", (h,)),
+            ("attn_ln_gamma", (h,)), ("attn_ln_beta", (h,)),
+            ("w_ffn_in", (h, f)), ("b_ffn_in", (f,)), ("w_ffn_out", (f, h)), ("b_ffn_out", (h,)),
+            ("ffn_ln_gamma", (h,)), ("ffn_ln_beta", (h,))]
+
+
+def backbone_layout(config):
+    """Ordered (name, shape) of every base tensor, as ``named_tensors()`` yields them."""
+    layout = _embedding_layout(config)
+    for i in range(config.num_layers):
+        layout += [(f"layer{i}.{name}", shape) for name, shape in _layer_layout(config)]
+    return layout
+
+
+def build_backbone(config, make):
+    """Backbone whose tensors are ``make(qualified name, shape)``.
+
+    Every layer is made before the embeddings, which fixes the random draw
+    order of :func:`init_backbone`.
+    """
+    layers = [LayerWeights(**{name: make(f"layer{i}.{name}", shape)
+                              for name, shape in _layer_layout(config)})
+              for i in range(config.num_layers)]
+    embeddings = {name: make(name, shape) for name, shape in _embedding_layout(config)}
+    return BackboneWeights(**embeddings, layers=layers)
+
+
 def init_backbone(config, rng):
     """Deterministic random backbone: truncated-normal weights, zero biases, unit LNs."""
-    h, f = config.hidden_size, config.ffn_size
+    def init(name, shape):
+        if len(shape) == 2:
+            return ad.tensor(truncated_normal(rng, shape))
+        return ad.tensor(np.ones(shape) if name.endswith("gamma") else np.zeros(shape))
 
-    def w(shape):
-        return ad.tensor(truncated_normal(rng, shape))
-
-    def zeros(n):
-        return ad.tensor(np.zeros(n))
-
-    def ones(n):
-        return ad.tensor(np.ones(n))
-
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(LayerWeights(
-            w_q=w((h, h)), b_q=zeros(h),
-            w_k=w((h, h)), b_k=zeros(h),
-            w_v=w((h, h)), b_v=zeros(h),
-            w_o=w((h, h)), b_o=zeros(h),
-            attn_ln_gamma=ones(h), attn_ln_beta=zeros(h),
-            w_ffn_in=w((h, f)), b_ffn_in=zeros(f),
-            w_ffn_out=w((f, h)), b_ffn_out=zeros(h),
-            ffn_ln_gamma=ones(h), ffn_ln_beta=zeros(h),
-        ))
-    return BackboneWeights(
-        token_embeddings=w((config.vocab_size, h)),
-        position_embeddings=w((config.max_seq_len, h)),
-        emb_ln_gamma=ones(h),
-        emb_ln_beta=zeros(h),
-        layers=layers,
-    )
+    return build_backbone(config, init)
 
 
 def count_backbone_params(config):
     """Exact base parameter count: embeddings, projections, biases, layer norms."""
-    h, f = config.hidden_size, config.ffn_size
-    emb = config.vocab_size * h + config.max_seq_len * h + 2 * h
-    attn = 4 * (h * h + h) + 2 * h
-    ffn = (h * f + f) + (f * h + h) + 2 * h
-    return emb + config.num_layers * (attn + ffn)
+    return sum(int(np.prod(shape)) for _, shape in backbone_layout(config))
 
 
 @dataclass

@@ -17,14 +17,14 @@ import numpy as np
 import yaml
 
 from . import hub, package_io, training
+from .adapters import PRESET_NAMES
 from .adapters import preset as adapter_preset
-from .adapters import resolve_config
 from .backbone import ModelConfig
 from .errors import (AdapterKitError, AmbiguousQueryError, ChecksumError,
                      CompatibilityError, HubLookupError, MetadataError,
                      PackageFormatError, RegistryError, TransportError,
                      UnknownAdapterError)
-from .manager import AdapterModel
+from .manager import ADAPTER_TYPES, AdapterModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +140,7 @@ def _load_runtime(checkpoint_path, package_source):
 
 def _match_preset(config):
     """Name the preset this config instantiates, if any."""
-    for name in ("pfeiffer", "houlsby", "bapna"):
+    for name in PRESET_NAMES:
         if config == adapter_preset(name, reduction_factor=config.reduction_factor):
             return name
     return None
@@ -338,8 +338,7 @@ def build_parser():
     p.add_argument("--task", choices=training.TASKS, required=True)
     p.add_argument("--mode", choices=training.MODES, default="adapter_only")
     p.add_argument("--adapter-name", default=None)
-    p.add_argument("--preset", default="pfeiffer",
-                   choices=("pfeiffer", "houlsby", "bapna"))
+    p.add_argument("--preset", default="pfeiffer", choices=PRESET_NAMES)
     p.add_argument("--reduction-factor", type=int, default=None)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=16)
@@ -387,7 +386,7 @@ def build_parser():
 
     p = sub.add_parser("explore", help="show the hub hierarchy: type / category / dataset")
     p.add_argument("--index", required=True)
-    p.add_argument("--type", choices=hub.ADAPTER_TYPES, default=None)
+    p.add_argument("--type", choices=ADAPTER_TYPES, default=None)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("search", help="resolve a query to exactly one hub entry")
@@ -396,7 +395,7 @@ def build_parser():
     p.add_argument("--model-config-hash", default=None)
     p.add_argument("--checkpoint", default=None,
                    help="filter to entries compatible with this checkpoint")
-    p.add_argument("--type", choices=hub.ADAPTER_TYPES, default=None)
+    p.add_argument("--type", choices=ADAPTER_TYPES, default=None)
     p.add_argument("--fetch", action="store_true", help="also download into the cache")
     p.add_argument("--cache-dir", default=None,
                    help=f"cache directory (default: ${hub.CACHE_ENV_VAR} or ~/.cache/adapterkit)")

@@ -29,7 +29,10 @@ class UnknownAdapterError(AdapterKitError, KeyError):
 
 
 class RegistryError(AdapterKitError):
-    """Illegal registry mutation (duplicate add, delete of active adapter)."""
+    """Hub index is malformed or duplicated, or an archive contradicts its entry.
+
+    Deleting an active adapter is not an error: it leaves the active stack.
+    """
 
 
 class CompatibilityError(AdapterKitError):

@@ -27,8 +27,8 @@ import yaml
 from . import package_io
 from .errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                      MetadataError, RegistryError, TransportError)
+from .manager import ADAPTER_TYPES
 
-ADAPTER_TYPES = ("text_task", "text_lang")
 INDEX_FORMAT = "adapterkit-hub-index"
 INDEX_VERSION = 1
 CACHE_ENV_VAR = "ADAPTERKIT_CACHE"
@@ -137,11 +137,6 @@ def ingest_metadata(source):
     return HubEntry(**{k: v for k, v in values.items() if v is not None})
 
 
-def entry_from_dict(data):
-    """Build a HubEntry from an already-validated mapping (e.g. index data)."""
-    return ingest_metadata(dict(data))
-
-
 # ---------------------------------------------------------------------------
 # index
 
@@ -175,8 +170,11 @@ def parse_index(text):
         raise RegistryError("not a hub index document")
     if doc.get("version") != INDEX_VERSION:
         raise RegistryError(f"unsupported index version {doc.get('version')!r}")
+    rows = doc.get("entries", [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise RegistryError("index entries must be a list of JSON objects")
     try:
-        return [entry_from_dict(row) for row in doc.get("entries", [])]
+        return [ingest_metadata(row) for row in rows]
     except MetadataError as exc:
         raise RegistryError(f"index contains an invalid entry: {exc}") from None
 

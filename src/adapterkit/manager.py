@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .adapters import (AdapterConfig, AdapterLayerWeights, count_adapter_params,
-                       init_layer_weights, resolve_config)
+                       init_layer_weights, point_layout, resolve_config)
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
 ADAPTER_TYPES = ("text_task", "text_lang")
@@ -91,25 +91,11 @@ def new_adapter_entry(model_config, name, adapter_type, config, rng):
 def entry_from_package(pkg, name=None):
     """Reconstruct a registrable adapter from a decoded package."""
     cfg = pkg.adapter_config
-    weights = []
-    for i in range(pkg.model_config.num_layers):
-        points = {}
-        for point in cfg.insertion_points():
-            prefix = f"layer{i}.{point}."
-            lw = AdapterLayerWeights(
-                w_down=ad.tensor(pkg.tensors[prefix + "w_down"]),
-                b_down=ad.tensor(pkg.tensors[prefix + "b_down"]),
-                w_up=ad.tensor(pkg.tensors[prefix + "w_up"]),
-                b_up=ad.tensor(pkg.tensors[prefix + "b_up"]),
-            )
-            if cfg.new_ln_before:
-                lw.ln_before_gamma = ad.tensor(pkg.tensors[prefix + "ln_before_gamma"])
-                lw.ln_before_beta = ad.tensor(pkg.tensors[prefix + "ln_before_beta"])
-            if cfg.new_ln_after:
-                lw.ln_after_gamma = ad.tensor(pkg.tensors[prefix + "ln_after_gamma"])
-                lw.ln_after_beta = ad.tensor(pkg.tensors[prefix + "ln_after_beta"])
-            points[point] = lw
-        weights.append(points)
+    layout = point_layout(pkg.model_config.hidden_size, cfg)
+    weights = [{point: AdapterLayerWeights(**{n: ad.tensor(pkg.tensors[f"layer{i}.{point}.{n}"])
+                                              for n, _ in layout})
+                for point in cfg.insertion_points()}
+               for i in range(pkg.model_config.num_layers)]
     return AdapterEntry(name=name or pkg.name, adapter_type=pkg.adapter_type,
                         config=cfg, weights=weights, trained=pkg.trained)
 
@@ -133,11 +119,8 @@ class AdapterModel:
     def add_adapter(self, name, adapter_type="text_task", config="pfeiffer",
                     reduction_factor=None, seed=None):
         """Register a freshly initialized adapter (transparent until trained)."""
-        _validate_name(name)
         if name in self._adapters:
             raise ValueError(f"adapter {name!r} already registered")
-        if adapter_type not in ADAPTER_TYPES:
-            raise ValueError(f"adapter_type must be one of {ADAPTER_TYPES}, got {adapter_type!r}")
         cfg = resolve_config(config, reduction_factor)
         rng = np.random.default_rng(self._seed_root.spawn(1)[0] if seed is None else seed)
         entry = new_adapter_entry(self.config, name, adapter_type, cfg, rng)
@@ -162,6 +145,7 @@ class AdapterModel:
                 f"unknown adapter {name!r}; registered: {sorted(self._adapters)}") from None
 
     def delete_adapter(self, name):
+        """Unregister an adapter, removing it from the active stack if it is there."""
         self.get_adapter(name)
         del self._adapters[name]
         if name in self.active_adapters:
@@ -251,10 +235,6 @@ class AdapterModel:
             entry.set_requires_grad(False)
         for head in self._heads.values():
             head.set_requires_grad(True)
-
-    def freeze_all(self):
-        for _, t, _ in self.named_parameters():
-            t.requires_grad = False
 
     # -- parameter iteration --------------------------------------------------
 

@@ -33,12 +33,14 @@ import yaml
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
+from .codec import read_pairs, read_value, write_pairs
 from .errors import ChecksumError, PackageFormatError
 
 MAGIC = b"ADPK"
 FORMAT_VERSION = 1
 
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
+_BANNER = "adapterkit-package"
 _MODEL_SECTION = "--model-config--"
 _ADAPTER_SECTION = "--adapter-config--"
 
@@ -145,7 +147,7 @@ def _decode_container(data):
     pos += 8
     if pos + header_len > len(body):
         raise PackageFormatError("header length exceeds file size")
-    header_text = body[pos:pos + header_len].decode("utf-8")
+    header = body[pos:pos + header_len]
     pos += header_len
     if pos + 8 > len(body):
         raise PackageFormatError("file truncated before manifest")
@@ -153,9 +155,12 @@ def _decode_container(data):
     pos += 8
     if pos + manifest_len > len(body):
         raise PackageFormatError("manifest length exceeds file size")
-    manifest_text = body[pos:pos + manifest_len].decode("utf-8")
-    pos += manifest_len
-    blob = body[pos:]
+    manifest = body[pos:pos + manifest_len]
+    blob = body[pos + manifest_len:]
+    try:
+        header_text, manifest_text = header.decode("utf-8"), manifest.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackageFormatError(f"package header or manifest is not UTF-8: {exc}") from None
 
     entries = _parse_manifest(manifest_text)
     expect = 0
@@ -172,29 +177,42 @@ def _decode_container(data):
     return header_text, entries, blob
 
 
-def _parse_header(text):
-    """Header text -> (flat key/value dict, model descriptor, adapter descriptor)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "adapterkit-package":
+def _header_text(fields, model_config, adapter_config=None):
+    """Banner, flat key=value fields, then the embedded config descriptors."""
+    text = f"{_BANNER}\n{write_pairs(fields.items())}{_MODEL_SECTION}\n{model_config.descriptor()}"
+    if adapter_config is not None:
+        text += f"{_ADAPTER_SECTION}\n{adapter_config.descriptor()}"
+    return text
+
+
+def _read_header(text, kind, dtype):
+    """Header text -> (flat fields, model config, adapter config or None).
+
+    Checks the package kind, the dtype, each embedded config against its
+    recorded hash, and that the text is exactly what :func:`_header_text`
+    writes for what was read.
+    """
+    banner, _, rest = text.partition("\n")
+    if banner != _BANNER:
         raise PackageFormatError("missing package header banner")
-    fields = {}
-    sections = {"": []}
-    current = ""
-    for line in lines[1:]:
-        if line in (_MODEL_SECTION, _ADAPTER_SECTION):
-            current = line
-            sections[current] = []
-            continue
-        if current:
-            sections[current].append(line)
-        elif line.strip():
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise PackageFormatError(f"malformed header line: {line!r}")
-            fields[key] = value
-    model_text = "\n".join(sections.get(_MODEL_SECTION, [])) + "\n"
-    adapter_text = "\n".join(sections.get(_ADAPTER_SECTION, [])) + "\n"
-    return fields, model_text, adapter_text
+    flat, _, configs = rest.partition(f"{_MODEL_SECTION}\n")
+    model_text, _, adapter_text = configs.partition(f"{_ADAPTER_SECTION}\n")
+    try:
+        fields = read_pairs(flat.splitlines())
+        if fields.get("kind") != kind:
+            raise PackageFormatError(f"not a {kind} package (kind={fields.get('kind')!r})")
+        if fields.get("dtype") != dtype:
+            raise PackageFormatError(f"{kind} packages must be {dtype}, got {fields.get('dtype')!r}")
+        model_config = bb.ModelConfig.parse(model_text)
+        adapter_config = adp.AdapterConfig.parse(adapter_text) if kind == "adapter" else None
+    except ValueError as exc:
+        raise PackageFormatError(f"bad package header: {exc}") from None
+    for config, key in ((model_config, "model_config_hash"), (adapter_config, "adapter_config_hash")):
+        if config is not None and config.config_hash() != fields.get(key):
+            raise PackageFormatError(f"embedded configuration does not match its {key}")
+    if _header_text(fields, model_config, adapter_config) != text:
+        raise PackageFormatError("package header is not in canonical form")
+    return fields, model_config, adapter_config
 
 
 def _tensors_from_blob(entries, blob, dtype_key):
@@ -216,33 +234,13 @@ def _tensors_from_blob(entries, blob, dtype_key):
 # adapter packages
 
 
-def _bool_text(flag):
-    return "true" if flag else "false"
-
-
-def _parse_bool(raw, where):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise PackageFormatError(f"{where}: expected true/false, got {raw!r}")
-
-
 def expected_adapter_tensors(model_config, adapter_config):
     """Ordered (name, shape) pairs an adapter payload must contain exactly."""
-    h = model_config.hidden_size
-    b = adp.resolve_bottleneck(h, adapter_config.reduction_factor)
-    per_point = [("w_down", (h, b)), ("b_down", (b,)), ("w_up", (b, h)), ("b_up", (h,))]
-    if adapter_config.new_ln_before:
-        per_point += [("ln_before_gamma", (h,)), ("ln_before_beta", (h,))]
-    if adapter_config.new_ln_after:
-        per_point += [("ln_after_gamma", (h,)), ("ln_after_beta", (h,))]
-    out = []
-    for i in range(model_config.num_layers):
-        for point in adapter_config.insertion_points():
-            for field, shape in per_point:
-                out.append((f"layer{i}.{point}.{field}", shape))
-    return out
+    per_point = adp.point_layout(model_config.hidden_size, adapter_config)
+    return [(f"layer{i}.{point}.{name}", shape)
+            for i in range(model_config.num_layers)
+            for point in adapter_config.insertion_points()
+            for name, shape in per_point]
 
 
 def save_adapter_package(path, model_config, entry, head=None):
@@ -250,25 +248,19 @@ def save_adapter_package(path, model_config, entry, head=None):
 
     Returns the sha256 hex digest of the finished file.
     """
-    header = [
-        "adapterkit-package",
-        f"version={FORMAT_VERSION}",
-        "kind=adapter",
-        f"name={entry.name}",
-        f"adapter_type={entry.adapter_type}",
-        f"trained={_bool_text(entry.trained)}",
-        "dtype=f32",
-        f"model_config_hash={model_config.config_hash()}",
-        f"adapter_config_hash={entry.config.config_hash()}",
-    ]
+    fields = {
+        "version": FORMAT_VERSION,
+        "kind": "adapter",
+        "name": entry.name,
+        "adapter_type": entry.adapter_type,
+        "trained": bool(entry.trained),
+        "dtype": "f32",
+        "model_config_hash": model_config.config_hash(),
+        "adapter_config_hash": entry.config.config_hash(),
+    }
     if head is not None:
-        header.append(f"head_name={head.name}")
-        header.append(f"head_num_labels={head.num_labels}")
-    header.append(_MODEL_SECTION)
-    header.extend(model_config.descriptor().splitlines())
-    header.append(_ADAPTER_SECTION)
-    header.extend(entry.config.descriptor().splitlines())
-    header_text = "\n".join(header) + "\n"
+        fields.update(head_name=head.name, head_num_labels=head.num_labels)
+    header_text = _header_text(fields, model_config, entry.config)
 
     named = [(name, t.data) for name, t in entry.named_tensors()]
     expected = expected_adapter_tensors(model_config, entry.config)
@@ -306,57 +298,38 @@ class AdapterPackage:
 def parse_adapter_package(data):
     """Decode and fully validate adapter package bytes."""
     header_text, entries, blob = _decode_container(data)
-    fields, model_text, adapter_text = _parse_header(header_text)
-    if fields.get("kind") != "adapter":
-        raise PackageFormatError(f"not an adapter package (kind={fields.get('kind')!r})")
-    dtype = fields.get("dtype")
-    if dtype != "f32":
-        raise PackageFormatError(f"adapter packages must be f32, got {dtype!r}")
-    for key in ("name", "adapter_type", "trained", "model_config_hash", "adapter_config_hash"):
+    fields, model_config, adapter_config = _read_header(header_text, "adapter", "f32")
+    for key in ("name", "adapter_type"):
         if key not in fields:
             raise PackageFormatError(f"header missing {key}")
-
     try:
-        model_config = bb.parse_model_descriptor(model_text)
-        adapter_config = adp.parse_config_descriptor(adapter_text)
+        trained = read_value(bool, fields.get("trained", ""))
+        num_labels = read_value(int, fields.get("head_num_labels", "")) if "head_name" in fields else None
     except ValueError as exc:
-        raise PackageFormatError(f"bad embedded configuration: {exc}") from None
-    if model_config.config_hash() != fields["model_config_hash"]:
-        raise PackageFormatError("embedded model configuration does not match its hash")
-    if adapter_config.config_hash() != fields["adapter_config_hash"]:
-        raise PackageFormatError("embedded adapter configuration does not match its hash")
+        raise PackageFormatError(f"bad package header: {exc}") from None
 
     expected = expected_adapter_tensors(model_config, adapter_config)
     adapter_entries = [e for e in entries if not e.name.startswith("head.")]
     got = [(e.name, e.shape) for e in adapter_entries]
     if got != expected:
         raise PackageFormatError("manifest tensors do not match the declared configuration")
-
-    head_entries = {e.name: e for e in entries if e.name.startswith("head.")}
-    head = None
-    if "head_name" in fields:
-        if set(head_entries) != {"head.w", "head.b"}:
-            raise PackageFormatError("bundled head must ship exactly head.w and head.b")
-        try:
-            num_labels = int(fields.get("head_num_labels", ""))
-        except ValueError:
-            raise PackageFormatError("head_num_labels must be an integer") from None
-        h = model_config.hidden_size
-        if head_entries["head.w"].shape != (h, num_labels) or head_entries["head.b"].shape != (num_labels,):
-            raise PackageFormatError("head tensor shapes do not match head_num_labels")
-    elif head_entries:
-        raise PackageFormatError("head tensors present but header declares no head")
+    head_shapes = {e.name: e.shape for e in entries if e.name.startswith("head.")}
+    if num_labels is None:
+        if head_shapes:
+            raise PackageFormatError("head tensors present but header declares no head")
+    elif head_shapes != {"head.w": (model_config.hidden_size, num_labels), "head.b": (num_labels,)}:
+        raise PackageFormatError("bundled head must ship exactly head.w and head.b, "
+                                 "shaped by hidden_size and head_num_labels")
 
     tensors = _tensors_from_blob(entries, blob, "f32")
-    head_tensors = {k: tensors.pop(k) for k in list(tensors) if k.startswith("head.")}
-    if "head_name" in fields:
-        head = (fields["head_name"], int(fields["head_num_labels"]),
-                head_tensors["head.w"], head_tensors["head.b"])
+    head = None
+    if num_labels is not None:
+        head = (fields["head_name"], num_labels, tensors.pop("head.w"), tensors.pop("head.b"))
 
     return AdapterPackage(
         name=fields["name"],
         adapter_type=fields["adapter_type"],
-        trained=_parse_bool(fields["trained"], "trained"),
+        trained=trained,
         model_config=model_config,
         model_config_hash=fields["model_config_hash"],
         adapter_config=adapter_config,
@@ -379,17 +352,14 @@ def load_adapter_package(path):
 
 def save_backbone_checkpoint(path, model_config, weights):
     """Write the full backbone at float64 so training resumes bit-exactly."""
-    header = [
-        "adapterkit-package",
-        f"version={FORMAT_VERSION}",
-        "kind=backbone",
-        "name=backbone",
-        "dtype=f64",
-        f"model_config_hash={model_config.config_hash()}",
-        _MODEL_SECTION,
-    ]
-    header.extend(model_config.descriptor().splitlines())
-    header_text = "\n".join(header) + "\n"
+    fields = {
+        "version": FORMAT_VERSION,
+        "kind": "backbone",
+        "name": "backbone",
+        "dtype": "f64",
+        "model_config_hash": model_config.config_hash(),
+    }
+    header_text = _header_text(fields, model_config)
     named = [(name, t.data) for name, t in weights.named_tensors()]
     manifest_text, blob = _pack_tensors(named, "f64")
     data = _encode_container(header_text, manifest_text, blob)
@@ -400,54 +370,11 @@ def save_backbone_checkpoint(path, model_config, weights):
 def load_backbone_checkpoint(path):
     """Read a checkpoint back into (ModelConfig, BackboneWeights)."""
     header_text, entries, blob = _decode_container(Path(path).read_bytes())
-    fields, model_text, _ = _parse_header(header_text)
-    if fields.get("kind") != "backbone":
-        raise PackageFormatError(f"not a backbone checkpoint (kind={fields.get('kind')!r})")
-    if fields.get("dtype") != "f64":
-        raise PackageFormatError("backbone checkpoints must be f64")
-    try:
-        config = bb.parse_model_descriptor(model_text)
-    except ValueError as exc:
-        raise PackageFormatError(f"bad embedded configuration: {exc}") from None
-    if config.config_hash() != fields.get("model_config_hash"):
-        raise PackageFormatError("embedded model configuration does not match its hash")
-
+    _, config, _ = _read_header(header_text, "backbone", "f64")
+    if [(e.name, e.shape) for e in entries] != bb.backbone_layout(config):
+        raise PackageFormatError("checkpoint tensors do not match the declared configuration")
     tensors = _tensors_from_blob(entries, blob, "f64")
-
-    def take(name, shape):
-        if name not in tensors:
-            raise PackageFormatError(f"checkpoint missing tensor {name}")
-        arr = tensors.pop(name)
-        if arr.shape != shape:
-            raise PackageFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
-        return ad.tensor(arr)
-
-    h, f = config.hidden_size, config.ffn_size
-    layers = []
-    for i in range(config.num_layers):
-        p = f"layer{i}."
-        layers.append(bb.LayerWeights(
-            w_q=take(p + "w_q", (h, h)), b_q=take(p + "b_q", (h,)),
-            w_k=take(p + "w_k", (h, h)), b_k=take(p + "b_k", (h,)),
-            w_v=take(p + "w_v", (h, h)), b_v=take(p + "b_v", (h,)),
-            w_o=take(p + "w_o", (h, h)), b_o=take(p + "b_o", (h,)),
-            attn_ln_gamma=take(p + "attn_ln_gamma", (h,)),
-            attn_ln_beta=take(p + "attn_ln_beta", (h,)),
-            w_ffn_in=take(p + "w_ffn_in", (h, f)), b_ffn_in=take(p + "b_ffn_in", (f,)),
-            w_ffn_out=take(p + "w_ffn_out", (f, h)), b_ffn_out=take(p + "b_ffn_out", (h,)),
-            ffn_ln_gamma=take(p + "ffn_ln_gamma", (h,)),
-            ffn_ln_beta=take(p + "ffn_ln_beta", (h,)),
-        ))
-    weights = bb.BackboneWeights(
-        token_embeddings=take("token_embeddings", (config.vocab_size, h)),
-        position_embeddings=take("position_embeddings", (config.max_seq_len, h)),
-        emb_ln_gamma=take("emb_ln_gamma", (h,)),
-        emb_ln_beta=take("emb_ln_beta", (h,)),
-        layers=layers,
-    )
-    if tensors:
-        raise PackageFormatError(f"checkpoint has unexpected tensors: {sorted(tensors)}")
-    return config, weights
+    return config, bb.build_backbone(config, lambda name, _: ad.tensor(tensors[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +416,8 @@ def read_archive(zip_path):
             metadata = yaml.safe_load(zf.read(ARCHIVE_METADATA).decode("utf-8"))
     except zipfile.BadZipFile as exc:
         raise PackageFormatError(f"not a zip archive: {exc}") from None
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise PackageFormatError(f"unreadable archive member: {exc}") from None
     if not isinstance(metadata, dict):
         raise PackageFormatError("archive metadata must be a mapping")
     return package_bytes, config_text, metadata

@@ -4,8 +4,7 @@ import pytest
 import adapterkit.autodiff as ad
 from adapterkit.adapters import (AdapterConfig, BottleneckClampWarning,
                                  adapter_forward, count_adapter_params,
-                                 count_point_params, init_layer_weights,
-                                 parse_config_descriptor, preset,
+                                 count_point_params, init_layer_weights, preset,
                                  resolve_bottleneck, resolve_config,
                                  truncated_normal)
 from adapterkit.backbone import ModelConfig
@@ -52,7 +51,7 @@ def test_descriptor_round_trips_and_hash_is_stable():
     for trial in range(25):
         kwargs = {k: v[rng.integers(len(v))] for k, v in choices.items()}
         cfg = AdapterConfig(**kwargs)
-        again = parse_config_descriptor(cfg.descriptor())
+        again = AdapterConfig.parse(cfg.descriptor())
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
     # the hash must react to every field
@@ -62,12 +61,27 @@ def test_descriptor_round_trips_and_hash_is_stable():
 
 
 def test_parse_descriptor_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_config_descriptor("reduction_factor=16\nmystery=1\n")
-    with pytest.raises(ValueError):
-        parse_config_descriptor("reduction_factor=maybe\n")
-    with pytest.raises(ValueError):
-        parse_config_descriptor("mh_adapter=yes\n")
+    text = AdapterConfig().descriptor()
+    assert AdapterConfig.parse(text) == AdapterConfig()
+    junk = [
+        text + "mystery=1\n",  # unknown key
+        text.replace("reduction_factor=16", "reduction_factor=maybe"),
+        text.replace("mh_adapter=false", "mh_adapter=yes"),
+        text.replace("reduction_factor=16", "reduction_factor=1_6"),  # int() accepts it
+        text.replace("reduction_factor=16", "reduction_factor=016"),
+        text + "reduction_factor=16\n",  # duplicate key
+        "reduction_factor=16\n" + text,  # duplicate key
+        "",  # empty descriptor
+        "reduction_factor=16\n",  # every other field missing
+        text.replace("mh_adapter=false\n", ""),  # one field missing
+        text.replace("mh_adapter=false", "mh_adapter"),  # line with no =
+        text + "\n",  # trailing blank line
+        text.rstrip("\n"),  # no final newline
+        "\n".join(reversed(text.splitlines())) + "\n",  # fields out of order
+    ]
+    for bad in junk:
+        with pytest.raises(ValueError):
+            AdapterConfig.parse(bad)
 
 
 def test_presets_match_published_wiring():

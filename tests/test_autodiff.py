@@ -43,6 +43,8 @@ def test_activations_match_closed_forms():
     assert np.allclose(ad.swish(x).data, x.data * sig)
     cdf = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
     assert np.allclose(ad.gelu(x).data, x.data * cdf)
+    with pytest.raises(ValueError):
+        ad.activation("sigmoid", x)
 
 
 def test_gelu_is_exact_cdf_form_not_tanh_approximation():
@@ -119,16 +121,6 @@ def test_cross_entropy_rejects_bad_labels():
     logits = _t(rng, 4, 3)
     with pytest.raises(ShapeMismatchError):
         ad.cross_entropy(logits, [0, 1, 2, 3])
-
-
-def test_apply_primitive_dispatch_and_unknown():
-    rng = np.random.default_rng(10)
-    x = _t(rng, 2, 2)
-    assert np.array_equal(ad.apply_primitive("relu", x).data, ad.relu(x).data)
-    with pytest.raises(ValueError):
-        ad.apply_primitive("conv2d", x)
-    with pytest.raises(ValueError):
-        ad.activation("sigmoid", x)
 
 
 def test_non_finite_results_raise():

@@ -4,7 +4,7 @@ import pytest
 import adapterkit.autodiff as ad
 from adapterkit.adapters import AdapterConfig, init_layer_weights, preset
 from adapterkit.backbone import (ModelConfig, apply_layer, count_backbone_params,
-                                 encode, init_backbone, parse_model_descriptor)
+                                 encode, init_backbone)
 from adapterkit.errors import ShapeMismatchError
 
 
@@ -63,12 +63,25 @@ def test_model_config_validation():
 def test_model_descriptor_round_trip_and_hash():
     cfg = ModelConfig(hidden_size=32, num_layers=3, num_heads=2, ffn_size=64,
                       vocab_size=50, max_seq_len=12)
-    again = parse_model_descriptor(cfg.descriptor())
+    again = ModelConfig.parse(cfg.descriptor())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
     assert ModelConfig().config_hash() != cfg.config_hash()
-    with pytest.raises(ValueError):
-        parse_model_descriptor("hidden_size=64\nflux_capacitor=1\n")
+    text = ModelConfig().descriptor()
+    junk = [
+        text + "flux_capacitor=1\n",  # unknown key
+        text.replace("hidden_size=64", "hidden_size=6_4"),  # int() accepts it
+        text.replace("hidden_size=64", "hidden_size= 64"),
+        text.replace("layer_norm_epsilon=1e-12", "layer_norm_epsilon=0.000000000001"),
+        text + "hidden_size=32\n",  # duplicate key
+        "",  # empty descriptor: not the defaults
+        "hidden_size=64\n",  # every other field missing
+        text.replace("num_layers=2", "num_layers"),  # line with no =
+        text.replace("num_layers=2", "num_layers=two"),
+    ]
+    for bad in junk:
+        with pytest.raises(ValueError):
+            ModelConfig.parse(bad)
 
 
 def test_backbone_param_count_matches_enumeration(desk_config):

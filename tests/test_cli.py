@@ -1,6 +1,8 @@
+import hashlib
 import json
 import shutil
 import subprocess
+import zipfile
 
 import numpy as np
 import pytest
@@ -137,6 +139,13 @@ def test_validate_detects_corruption_and_incompatibility(tmp_path, capsys):
     assert main(["validate", "--package", str(broken)]) == 2
     assert "error:" in capsys.readouterr().err
 
+    body = bytearray(pkg.read_bytes()[:-32])
+    body[16] = 0xFF  # header text is no longer UTF-8, but the trailing digest is valid
+    resealed = tmp_path / "header.pkg"
+    resealed.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+    assert main(["validate", "--package", str(resealed)]) == 2
+    assert "error:" in capsys.readouterr().err
+
     other_config = ModelConfig(hidden_size=16, num_layers=1, num_heads=2,
                                ffn_size=32, vocab_size=64, max_seq_len=8)
     other_ckpt = tmp_path / "other.ckpt"
@@ -200,6 +209,18 @@ def test_search_failure_modes(tmp_path, capsys):
                  "--model-config-hash", "a" * 64, "--fetch",
                  "--cache-dir", str(tmp_path / "cache")]) == 3
     capsys.readouterr()
+
+
+def test_run_rejects_unreadable_archive_metadata(tmp_path, capsys):
+    out_dir, _ = _train(tmp_path, capsys, steps="2")
+    archive = tmp_path / "bad.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.write(out_dir / "copycat.pkg", package_io.ARCHIVE_PACKAGE)
+        zf.writestr(package_io.ARCHIVE_CONFIG, "")
+        zf.writestr(package_io.ARCHIVE_METADATA, "a: [unclosed")
+    assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"), "--archive", str(archive),
+                 "--inputs", str(out_dir / "dev_inputs.txt")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_io_failures(tmp_path, capsys):

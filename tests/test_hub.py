@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import yaml
 
 from adapterkit import hub
 from adapterkit.adapters import AdapterConfig
@@ -104,6 +105,12 @@ def test_index_rejects_duplicates_and_garbage():
     del bad["entries"][0]["url"]
     with pytest.raises(RegistryError):
         hub.parse_index(json.dumps(bad))
+    # every entries row must be a JSON object, even one that dict() or YAML would accept
+    row = entries[0].to_dict()
+    for rows in ([42], [list(row.items())], [yaml.safe_dump(row)], 42):
+        doc = {"format": hub.INDEX_FORMAT, "version": hub.INDEX_VERSION, "entries": rows}
+        with pytest.raises(RegistryError):
+            hub.parse_index(json.dumps(doc))
 
 
 def test_explore_tree_three_levels():

@@ -30,6 +30,13 @@ def test_get_and_delete_unknown(tiny_model):
     assert tiny_model.active_adapters == []
     with pytest.raises(UnknownAdapterError):
         tiny_model.delete_adapter("a")
+    # deleting an active adapter is not an error: it leaves the stack, the rest keep their order
+    for name in ("a", "b", "c"):
+        tiny_model.add_adapter(name, reduction_factor=2)
+    tiny_model.set_active_adapters(["a", "b", "c"])
+    tiny_model.delete_adapter("b")
+    assert tiny_model.active_adapters == ["a", "c"]
+    tiny_model.encode([1, 2, 3])
 
 
 def test_adapter_param_count_matches_tensor_sizes(tiny_model):
@@ -94,8 +101,6 @@ def test_train_full_marks_base_and_heads(tiny_model):
     tiny_model.train_full()
     trainable_owners = {owner for _, t, owner in tiny_model.named_parameters(trainable_only=True)}
     assert trainable_owners == {"base", "head"}
-    tiny_model.freeze_all()
-    assert list(tiny_model.named_parameters(trainable_only=True)) == []
 
 
 def test_digests_track_content(tiny_model):

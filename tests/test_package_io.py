@@ -139,6 +139,23 @@ def test_kind_fields_keep_formats_apart(tmp_path, tiny_config):
         pio.load_backbone_checkpoint(pkg)
 
 
+def test_header_must_be_canonical(tmp_path, tiny_config):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=13)
+    path = tmp_path / "h.pkg"
+    pio.save_adapter_package(path, tiny_config, entry)
+    data = path.read_bytes()
+    pio.parse_adapter_package(data)
+    # same-length rewrites keep every length field valid; the digest is resealed
+    for old, new in ((b"trained=false", b"trained=FALSE"),
+                     (b"version=1", b"kind=adap"),  # duplicate key
+                     (b"layer_norm_epsilon=1e-12", b"layer_norm_epsilon=1E-12"),  # same float
+                     (b"--adapter-config--", b"--adapter-confix--")):  # no adapter section
+        body = data[:-32].replace(old, new, 1)
+        assert len(new) == len(old) and body != data[:-32]
+        with pytest.raises(PackageFormatError):
+            pio.parse_adapter_package(body + hashlib.sha256(body).digest())
+
+
 def test_archive_round_trip_and_determinism(tmp_path, tiny_config):
     entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=11)
     pkg_path = tmp_path / "a.pkg"
@@ -168,6 +185,14 @@ def test_read_archive_rejects_bad_inputs(tmp_path):
         zf.writestr("adapter.pkg", b"x")
     with pytest.raises(PackageFormatError):
         pio.read_archive(partial)
+    for config_bytes, metadata in ((b"x=1\n", b"a: [unclosed\n"), (b"\xff\xfe", b"a: 1\n")):
+        bad = tmp_path / "bad.zip"
+        with zipfile.ZipFile(bad, "w") as zf:
+            zf.writestr("adapter.pkg", b"x")
+            zf.writestr("adapter_config.txt", config_bytes)
+            zf.writestr("metadata.yaml", metadata)
+        with pytest.raises(PackageFormatError):
+            pio.read_archive(bad)
 
 
 def test_verify_package_report(tmp_path, tiny_config):
