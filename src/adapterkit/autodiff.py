@@ -21,6 +21,8 @@ Conventions:
 - swish is ``x * sigmoid(x)``
 """
 
+import contextvars
+
 import numpy as np
 from scipy.special import erf
 
@@ -45,9 +47,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def is_leaf(self):
-        return self._producer is None
 
     def __repr__(self):
         flags = []
@@ -87,20 +86,23 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _ACTIVE_TAPES.pop()
-        assert popped is self, "tapes must nest"
+        stack = _ACTIVE_TAPES.get()
+        assert stack[-1] is self, "tapes must nest"
+        _ACTIVE_TAPES.set(stack[:-1])
         return False
 
 
-_ACTIVE_TAPES = []
+# each thread (and each asyncio task) records onto its own stack of tapes
+_ACTIVE_TAPES = contextvars.ContextVar("adapterkit_active_tapes", default=())
 
 
 def _active_tape():
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    stack = _ACTIVE_TAPES.get()
+    return stack[-1] if stack else None
 
 
 def _tracked(t, tape):
@@ -258,8 +260,8 @@ def layer_norm(x, gamma, beta, epsilon):
     _require_rank("layer_norm", gamma, 1)
     _require_rank("layer_norm", beta, 1)
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("layer_norm: epsilon must be > 0")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError("layer_norm: epsilon must be finite and > 0")
     n = x.shape[1]
     if gamma.shape[0] != n or beta.shape[0] != n:
         raise ShapeMismatchError(

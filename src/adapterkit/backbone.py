@@ -10,6 +10,7 @@ The pooled representation is the first position's hidden state; prediction
 heads own any further projection.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,8 +39,8 @@ class ModelConfig(Descriptor):
         for f in fields(self):
             if f.name in ("model_type",):
                 continue
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"

@@ -20,20 +20,14 @@ from . import hub, package_io, training
 from .adapters import PRESET_NAMES
 from .adapters import preset as adapter_preset
 from .backbone import ModelConfig
-from .errors import (AdapterKitError, AmbiguousQueryError, ChecksumError,
-                     CompatibilityError, HubLookupError, MetadataError,
-                     PackageFormatError, RegistryError, TransportError,
-                     UnknownAdapterError)
+from .errors import (AdapterKitError, CompatibilityError, HubLookupError,
+                     MetadataError, PackageFormatError, TransportError)
 from .manager import ADAPTER_TYPES, AdapterModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-_VALIDATION_ERRORS = (MetadataError, CompatibilityError, ChecksumError,
-                      PackageFormatError, HubLookupError, AmbiguousQueryError,
-                      RegistryError, UnknownAdapterError)
 
 
 class _UsageError(Exception):
@@ -415,13 +409,6 @@ def main(argv=None):
     except ValueError as exc:
         _info(f"error: {exc}")
         return EXIT_USAGE
-    except _VALIDATION_ERRORS as exc:
-        if isinstance(exc, MetadataError):
-            for v in exc.violations:
-                _info(f"invalid metadata: {v}")
-        else:
-            _info(f"error: {exc}")
-        return EXIT_VALIDATION
     except TransportError as exc:
         _info(f"error: {exc}")
         return EXIT_IO
@@ -431,7 +418,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except AdapterKitError as exc:
-        _info(f"error: {exc}")
+        if isinstance(exc, MetadataError):
+            for v in exc.violations:
+                _info(f"invalid metadata: {v}")
+        else:
+            _info(f"error: {exc}")
         return EXIT_VALIDATION
 
 

@@ -11,9 +11,16 @@ Container layout (all integers little-endian):
 
 The header carries the package kind, identity fields, dtype, the full
 embedded model (and adapter) configuration descriptors, and their hashes.
-Each manifest line is ``name shape offset nbytes sha256`` for one tensor,
-with offsets relative to the blob start, so any single flipped byte in the
-file is caught either by the trailing digest or by a per-tensor digest.
+Those fix the exact ordered (name, shape) layout of the payload: the
+backbone's table for a checkpoint, the adapter's table (plus ``head.w`` and
+``head.b`` shaped by ``head_num_labels``) for an adapter package. Each
+manifest line is ``name shape offset nbytes sha256`` for one tensor, with
+offsets relative to the blob start; every field but the digest follows
+from the layout and the dtype. A reader therefore takes only the digests
+from the stored manifest, renders the manifest the writer would have
+written for the declared layout, and rejects any other text, so no size
+or offset in a file is ever trusted. Any single flipped byte in the file
+is caught by the trailing digest or by a per-tensor digest.
 
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
@@ -21,8 +28,10 @@ backbone checkpoints keep float64 so training can resume bit-exactly.
 
 import hashlib
 import io
+import math
 import os
 import struct
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +48,7 @@ from .errors import ChecksumError, PackageFormatError
 MAGIC = b"ADPK"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": "<f4", "f64": "<f8"}
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _BANNER = "adapterkit-package"
 _MODEL_SECTION = "--model-config--"
 _ADAPTER_SECTION = "--adapter-config--"
@@ -52,7 +61,7 @@ ARCHIVE_METADATA = "metadata.yaml"
 def _atomic_write_bytes(path, data):
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     path = Path(path)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -66,115 +75,7 @@ def file_sha256(path):
 
 
 # ---------------------------------------------------------------------------
-# low-level container encode/decode
-
-
-def _pack_tensors(named_arrays, dtype_key):
-    np_dtype = _DTYPES[dtype_key]
-    lines = []
-    chunks = []
-    offset = 0
-    for name, arr in named_arrays:
-        raw = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
-        shape = ",".join(str(d) for d in arr.shape)
-        digest = hashlib.sha256(raw).hexdigest()
-        lines.append(f"{name} {shape} {offset} {len(raw)} {digest}")
-        chunks.append(raw)
-        offset += len(raw)
-    return "\n".join(lines) + "\n", b"".join(chunks)
-
-
-def _encode_container(header_text, manifest_text, blob):
-    hb = header_text.encode("utf-8")
-    mb = manifest_text.encode("utf-8")
-    body = b"".join([
-        MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<Q", len(hb)), hb,
-        struct.pack("<Q", len(mb)), mb,
-        blob,
-    ])
-    return body + hashlib.sha256(body).digest()
-
-
-@dataclass
-class ManifestEntry:
-    name: str
-    shape: tuple
-    offset: int
-    nbytes: int
-    sha256: str
-
-
-def _parse_manifest(text):
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(" ")
-        if len(parts) != 5:
-            raise PackageFormatError(f"manifest line {lineno}: expected 5 fields, got {len(parts)}")
-        name, shape_s, offset_s, nbytes_s, digest = parts
-        try:
-            shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-            offset = int(offset_s)
-            nbytes = int(nbytes_s)
-        except ValueError:
-            raise PackageFormatError(f"manifest line {lineno}: malformed numbers") from None
-        entries.append(ManifestEntry(name, shape, offset, nbytes, digest))
-    return entries
-
-
-def _decode_container(data):
-    """Split raw bytes into (header text, manifest entries, blob); verify digests."""
-    if len(data) < 4 + 4 + 8:
-        raise PackageFormatError("file too short to be a package")
-    if data[:4] != MAGIC:
-        raise PackageFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise PackageFormatError(f"unsupported format version {version}")
-    if len(data) < 32 + 16:
-        raise PackageFormatError("file truncated")
-    body, trailer = data[:-32], data[-32:]
-    actual = hashlib.sha256(body).digest()
-    if actual != trailer:
-        raise ChecksumError("package digest mismatch: file is corrupt or truncated")
-
-    pos = 8
-    (header_len,) = struct.unpack_from("<Q", body, pos)
-    pos += 8
-    if pos + header_len > len(body):
-        raise PackageFormatError("header length exceeds file size")
-    header = body[pos:pos + header_len]
-    pos += header_len
-    if pos + 8 > len(body):
-        raise PackageFormatError("file truncated before manifest")
-    (manifest_len,) = struct.unpack_from("<Q", body, pos)
-    pos += 8
-    if pos + manifest_len > len(body):
-        raise PackageFormatError("manifest length exceeds file size")
-    manifest = body[pos:pos + manifest_len]
-    blob = body[pos + manifest_len:]
-    try:
-        header_text, manifest_text = header.decode("utf-8"), manifest.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise PackageFormatError(f"package header or manifest is not UTF-8: {exc}") from None
-
-    entries = _parse_manifest(manifest_text)
-    expect = 0
-    for e in entries:
-        if e.offset != expect:
-            raise PackageFormatError(f"tensor {e.name}: offset {e.offset}, expected {expect}")
-        expect += e.nbytes
-    if expect != len(blob):
-        raise PackageFormatError(f"blob is {len(blob)} bytes, manifest claims {expect}")
-    for e in entries:
-        raw = blob[e.offset:e.offset + e.nbytes]
-        if hashlib.sha256(raw).hexdigest() != e.sha256:
-            raise ChecksumError(f"tensor {e.name}: payload digest mismatch")
-    return header_text, entries, blob
+# the container: one writer, one reader
 
 
 def _header_text(fields, model_config, adapter_config=None):
@@ -183,6 +84,34 @@ def _header_text(fields, model_config, adapter_config=None):
     if adapter_config is not None:
         text += f"{_ADAPTER_SECTION}\n{adapter_config.descriptor()}"
     return text
+
+
+def _manifest_text(layout, dtype, digests):
+    """One ``name shape offset nbytes sha256`` line per tensor, in layout order."""
+    itemsize = _DTYPES[dtype].itemsize
+    lines = []
+    offset = 0
+    for (name, shape), digest in zip(layout, digests):
+        nbytes = itemsize * math.prod(shape)
+        lines.append(f"{name} {','.join(str(d) for d in shape)} {offset} {nbytes} {digest}\n")
+        offset += nbytes
+    return "".join(lines)
+
+
+def _write_container(path, fields, model_config, adapter_config, named_arrays, dtype):
+    """Write one container atomically; returns the sha256 hex digest of the file."""
+    raws = [np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes() for _, arr in named_arrays]
+    manifest = _manifest_text([(name, arr.shape) for name, arr in named_arrays], dtype,
+                              [hashlib.sha256(raw).hexdigest() for raw in raws])
+    hb = _header_text(fields, model_config, adapter_config).encode("utf-8")
+    mb = manifest.encode("utf-8")
+    body = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hb)), hb,
+                     struct.pack("<Q", len(mb)), mb, *raws])
+    h = hashlib.sha256(body)
+    trailer = h.digest()
+    _atomic_write_bytes(path, body + trailer)
+    h.update(trailer)
+    return h.hexdigest()
 
 
 def _read_header(text, kind, dtype):
@@ -215,19 +144,78 @@ def _read_header(text, kind, dtype):
     return fields, model_config, adapter_config
 
 
-def _tensors_from_blob(entries, blob, dtype_key):
-    np_dtype = np.dtype(_DTYPES[dtype_key])
-    out = {}
-    for e in entries:
-        count = int(np.prod(e.shape, dtype=np.int64)) if e.shape else 1
-        if count * np_dtype.itemsize != e.nbytes:
-            raise PackageFormatError(
-                f"tensor {e.name}: shape {e.shape} needs {count * np_dtype.itemsize} bytes, "
-                f"manifest says {e.nbytes}")
-        raw = blob[e.offset:e.offset + e.nbytes]
-        arr = np.frombuffer(raw, dtype=np_dtype).reshape(e.shape)
-        out[e.name] = arr.astype(np.float64)
-    return out
+def _declared_layout(fields, model_config, adapter_config):
+    """The exact ordered (name, shape) payload a header declares."""
+    if adapter_config is None:
+        return bb.backbone_layout(model_config)
+    layout = expected_adapter_tensors(model_config, adapter_config)
+    if "head_name" in fields:
+        try:
+            num_labels = read_value(int, fields.get("head_num_labels", ""))
+        except ValueError as exc:
+            raise PackageFormatError(f"bad package header: {exc}") from None
+        if num_labels < 2:
+            raise PackageFormatError(f"head_num_labels must be at least 2, got {num_labels}")
+        layout += [("head.w", (model_config.hidden_size, num_labels)), ("head.b", (num_labels,))]
+    return layout
+
+
+def _read_container(data, kind, dtype):
+    """Verify container bytes and decode them.
+
+    Returns (header fields, model config, adapter config or None,
+    {tensor name: float64 array}, sha256 hex digest of the file).
+    """
+    if len(data) < 4 + 4 + 8:
+        raise PackageFormatError("file too short to be a package")
+    if data[:4] != MAGIC:
+        raise PackageFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version != FORMAT_VERSION:
+        raise PackageFormatError(f"unsupported format version {version}")
+    if len(data) < 32 + 16:
+        raise PackageFormatError("file truncated")
+    body = memoryview(data)[:-32]
+    h = hashlib.sha256(body)
+    if h.digest() != data[-32:]:
+        raise ChecksumError("package digest mismatch: file is corrupt or truncated")
+    h.update(data[-32:])
+
+    texts = []
+    pos = 8
+    for what in ("header", "manifest"):
+        if pos + 8 > len(body):
+            raise PackageFormatError(f"file truncated before {what}")
+        (length,) = struct.unpack_from("<Q", body, pos)
+        pos += 8
+        if length > len(body) - pos:
+            raise PackageFormatError(f"{what} length exceeds file size")
+        try:
+            texts.append(str(body[pos:pos + length], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise PackageFormatError(f"package {what} is not UTF-8: {exc}") from None
+        pos += length
+    header_text, manifest_text = texts
+    fields, model_config, adapter_config = _read_header(header_text, kind, dtype)
+
+    layout = _declared_layout(fields, model_config, adapter_config)
+    digests = [line.rpartition(" ")[2] for line in manifest_text.splitlines()]
+    if _manifest_text(layout, dtype, digests) != manifest_text:
+        raise PackageFormatError("manifest does not match the tensor layout the header declares")
+    np_dtype = _DTYPES[dtype]
+    sizes = [np_dtype.itemsize * math.prod(shape) for _, shape in layout]
+    blob = body[pos:]
+    if len(blob) != sum(sizes):
+        raise PackageFormatError(f"blob is {len(blob)} bytes, manifest lists {sum(sizes)}")
+    tensors = {}
+    offset = 0
+    for (name, shape), digest, nbytes in zip(layout, digests, sizes):
+        raw = blob[offset:offset + nbytes]
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise ChecksumError(f"tensor {name}: payload digest mismatch")
+        tensors[name] = np.frombuffer(raw, dtype=np_dtype).reshape(shape).astype(np.float64)
+        offset += nbytes
+    return fields, model_config, adapter_config, tensors, h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +246,13 @@ def save_adapter_package(path, model_config, entry, head=None):
         "model_config_hash": model_config.config_hash(),
         "adapter_config_hash": entry.config.config_hash(),
     }
-    if head is not None:
-        fields.update(head_name=head.name, head_num_labels=head.num_labels)
-    header_text = _header_text(fields, model_config, entry.config)
-
     named = [(name, t.data) for name, t in entry.named_tensors()]
-    expected = expected_adapter_tensors(model_config, entry.config)
-    got = [(n, a.shape) for n, a in named]
-    if got != expected:
+    if [(n, a.shape) for n, a in named] != expected_adapter_tensors(model_config, entry.config):
         raise PackageFormatError("adapter tensors do not match the declared configuration")
     if head is not None:
-        named.append(("head.w", head.w.data))
-        named.append(("head.b", head.b.data))
-
-    manifest_text, blob = _pack_tensors(named, "f32")
-    data = _encode_container(header_text, manifest_text, blob)
-    _atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+        fields.update(head_name=head.name, head_num_labels=head.num_labels)
+        named += [("head.w", head.w.data), ("head.b", head.b.data)]
+    return _write_container(path, fields, model_config, entry.config, named, "f32")
 
 
 @dataclass
@@ -297,34 +275,19 @@ class AdapterPackage:
 
 def parse_adapter_package(data):
     """Decode and fully validate adapter package bytes."""
-    header_text, entries, blob = _decode_container(data)
-    fields, model_config, adapter_config = _read_header(header_text, "adapter", "f32")
+    fields, model_config, adapter_config, tensors, sha = _read_container(data, "adapter", "f32")
     for key in ("name", "adapter_type"):
         if key not in fields:
             raise PackageFormatError(f"header missing {key}")
     try:
         trained = read_value(bool, fields.get("trained", ""))
-        num_labels = read_value(int, fields.get("head_num_labels", "")) if "head_name" in fields else None
     except ValueError as exc:
         raise PackageFormatError(f"bad package header: {exc}") from None
-
-    expected = expected_adapter_tensors(model_config, adapter_config)
-    adapter_entries = [e for e in entries if not e.name.startswith("head.")]
-    got = [(e.name, e.shape) for e in adapter_entries]
-    if got != expected:
-        raise PackageFormatError("manifest tensors do not match the declared configuration")
-    head_shapes = {e.name: e.shape for e in entries if e.name.startswith("head.")}
-    if num_labels is None:
-        if head_shapes:
-            raise PackageFormatError("head tensors present but header declares no head")
-    elif head_shapes != {"head.w": (model_config.hidden_size, num_labels), "head.b": (num_labels,)}:
-        raise PackageFormatError("bundled head must ship exactly head.w and head.b, "
-                                 "shaped by hidden_size and head_num_labels")
-
-    tensors = _tensors_from_blob(entries, blob, "f32")
     head = None
-    if num_labels is not None:
-        head = (fields["head_name"], num_labels, tensors.pop("head.w"), tensors.pop("head.b"))
+    if "head_name" in fields:
+        b = tensors.pop("head.b")
+        head = (fields["head_name"], len(b), tensors.pop("head.w"), b)
+    param_count = sum(t.size for t in tensors.values())
 
     return AdapterPackage(
         name=fields["name"],
@@ -336,9 +299,9 @@ def parse_adapter_package(data):
         adapter_config_hash=fields["adapter_config_hash"],
         tensors=tensors,
         head=head,
-        adapter_blob_bytes=sum(e.nbytes for e in adapter_entries),
-        adapter_param_count=sum(int(np.prod(e.shape, dtype=np.int64)) for e in adapter_entries),
-        file_sha256=hashlib.sha256(data).hexdigest(),
+        adapter_blob_bytes=_DTYPES["f32"].itemsize * param_count,
+        adapter_param_count=param_count,
+        file_sha256=sha,
     )
 
 
@@ -359,21 +322,13 @@ def save_backbone_checkpoint(path, model_config, weights):
         "dtype": "f64",
         "model_config_hash": model_config.config_hash(),
     }
-    header_text = _header_text(fields, model_config)
     named = [(name, t.data) for name, t in weights.named_tensors()]
-    manifest_text, blob = _pack_tensors(named, "f64")
-    data = _encode_container(header_text, manifest_text, blob)
-    _atomic_write_bytes(path, data)
-    return hashlib.sha256(data).hexdigest()
+    return _write_container(path, fields, model_config, None, named, "f64")
 
 
 def load_backbone_checkpoint(path):
     """Read a checkpoint back into (ModelConfig, BackboneWeights)."""
-    header_text, entries, blob = _decode_container(Path(path).read_bytes())
-    _, config, _ = _read_header(header_text, "backbone", "f64")
-    if [(e.name, e.shape) for e in entries] != bb.backbone_layout(config):
-        raise PackageFormatError("checkpoint tensors do not match the declared configuration")
-    tensors = _tensors_from_blob(entries, blob, "f64")
+    _, config, _, tensors, _ = _read_container(Path(path).read_bytes(), "backbone", "f64")
     return config, bb.build_backbone(config, lambda name, _: ad.tensor(tensors[name]))
 
 

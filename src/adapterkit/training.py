@@ -120,14 +120,6 @@ class ToyTask:
         if self.vocab_size < _NOISE_RANGE[0] + 1:
             raise ValueError(f"vocab_size must be > {_NOISE_RANGE[0]}")
 
-    @property
-    def label_rule(self):
-        return {
-            "majority-token": f"label 1 iff token {_MAJ_A} occurs more often than token {_MAJ_B}",
-            "parity-of-token": "label = parity of the token id at position 0",
-            "copy-first-label": f"label 0 iff the first token is {_COPY_TOKENS[0]}, 1 iff {_COPY_TOKENS[1]}",
-        }[self.name]
-
     def label_of(self, sequence):
         """Apply the labeling rule directly to one sequence."""
         seq = list(sequence)

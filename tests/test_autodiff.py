@@ -81,6 +81,9 @@ def test_layer_norm_constant_row_returns_beta():
     x = ad.tensor(np.full((2, 6), 42.0))
     out = ad.layer_norm(x, g, b, 1e-12).data
     assert np.array_equal(out, np.tile(b.data, (2, 1)))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ad.layer_norm(x, g, b, bad)
 
 
 def test_embedding_lookup_gathers_and_validates():

@@ -56,8 +56,11 @@ def test_model_config_validation():
         ModelConfig(hidden_size=10, num_heads=4)  # not divisible
     with pytest.raises(ValueError):
         ModelConfig(num_layers=0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ModelConfig(layer_norm_epsilon=bad)
     with pytest.raises(ValueError):
-        ModelConfig(layer_norm_epsilon=0.0)
+        ModelConfig.parse(ModelConfig().descriptor().replace("=1e-12", "=nan"))
 
 
 def test_model_descriptor_round_trip_and_hash():

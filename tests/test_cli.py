@@ -10,6 +10,7 @@ import pytest
 from adapterkit import package_io
 from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import main, read_labels, read_sequences, write_labels, write_sequences
+from conftest import negative_size_package
 
 TINY_FLAGS = ["--hidden-size", "8", "--layers", "1", "--heads", "2",
               "--ffn-size", "16", "--vocab-size", "64", "--max-seq-len", "8"]
@@ -145,6 +146,11 @@ def test_validate_detects_corruption_and_incompatibility(tmp_path, capsys):
     resealed.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
     assert main(["validate", "--package", str(resealed)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    negative = tmp_path / "negative.pkg"
+    negative.write_bytes(negative_size_package(tmp_path))
+    assert main(["validate", "--package", str(negative)]) == 2
+    assert "head_num_labels" in capsys.readouterr().err
 
     other_config = ModelConfig(hidden_size=16, num_layers=1, num_heads=2,
                                ffn_size=32, vocab_size=64, max_seq_len=8)

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
 from adapterkit.backbone import ModelConfig, encode, init_backbone
 from adapterkit.errors import ChecksumError, PackageFormatError
 from adapterkit.manager import AdapterModel, new_adapter_entry
+from conftest import join_package, negative_size_package, split_package
 
 
 def _random_entry(model_config, config, seed, name="probe"):
@@ -105,6 +108,26 @@ def test_save_leaves_no_temp_files(tmp_path, tiny_config):
     assert [p.name for p in tmp_path.iterdir()] == ["clean.pkg"]
 
 
+def test_concurrent_saves_to_one_path(tmp_path, tiny_config):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=15)
+    path = tmp_path / "shared.pkg"
+
+    def save_repeatedly():
+        for _ in range(50):
+            pio.save_adapter_package(path, tiny_config, entry)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(save_repeatedly) for _ in range(2)]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pio.load_adapter_package(path).name == "probe"
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.pkg"]
+
+
 def test_expected_tensor_order_matches_entry(tiny_config):
     for config in (preset("pfeiffer", 2), preset("houlsby", 4), preset("bapna", 2)):
         entry = _random_entry(tiny_config, config, seed=7)
@@ -154,6 +177,24 @@ def test_header_must_be_canonical(tmp_path, tiny_config):
         assert len(new) == len(old) and body != data[:-32]
         with pytest.raises(PackageFormatError):
             pio.parse_adapter_package(body + hashlib.sha256(body).digest())
+
+
+def test_manifest_must_be_what_the_layout_renders(tmp_path, tiny_config):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=14)
+    path = tmp_path / "m.pkg"
+    pio.save_adapter_package(path, tiny_config, entry)
+    header, manifest, blob = split_package(path.read_bytes())
+    pio.parse_adapter_package(join_package(header, manifest, blob))
+    first, rest = manifest.split("\n", 1)
+    name, shape, offset, nbytes, digest = first.split(" ")
+    for bad in (manifest + "\n",  # blank line
+                f"{name} {shape} +{offset} {nbytes} {digest}\n{rest}",
+                f"{name} {shape} {offset} {nbytes}  {digest}\n{rest}",
+                rest + first + "\n"):  # reordered
+        with pytest.raises(PackageFormatError):
+            pio.parse_adapter_package(join_package(header, bad, blob))
+    with pytest.raises(PackageFormatError):
+        pio.parse_adapter_package(negative_size_package(tmp_path))
 
 
 def test_archive_round_trip_and_determinism(tmp_path, tiny_config):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -210,6 +213,27 @@ def test_same_seed_gives_bitwise_identical_runs(tiny_config):
     assert results[0].losses == results[1].losses  # bitwise equal logs
     assert results[0].dev_metrics == results[1].dev_metrics
     assert digests[0] == digests[1]
+
+
+def test_concurrent_training_matches_sequential(tiny_config):
+    seqs, labels = _toy_data()
+
+    def train(seed):
+        model = _toy_model(tiny_config, seed=seed)
+        cfg = TrainConfig(mode="adapter_only", seed=seed, max_steps=5, batch_size=8)
+        run_training(model, seqs, labels, cfg, adapter_name="task")
+        return model.digest_adapter("task"), model.get_head("cls").w.data.tobytes()
+
+    want = [train(seed) for seed in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(train, seed) for seed in (1, 2)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_zero_learning_rate_changes_nothing(tiny_config):
