@@ -87,22 +87,28 @@ def _header_text(fields, model_config, adapter_config=None):
 
 
 def _manifest_text(layout, dtype, digests):
-    """One ``name shape offset nbytes sha256`` line per tensor, in layout order."""
+    """(manifest text, byte size of each tensor) for one digest per layout entry.
+
+    The text has one ``name shape offset nbytes sha256`` line per tensor,
+    in layout order.
+    """
     itemsize = _DTYPES[dtype].itemsize
     lines = []
+    sizes = []
     offset = 0
-    for (name, shape), digest in zip(layout, digests):
+    for (name, shape), digest in zip(layout, digests, strict=True):
         nbytes = itemsize * math.prod(shape)
         lines.append(f"{name} {','.join(str(d) for d in shape)} {offset} {nbytes} {digest}\n")
+        sizes.append(nbytes)
         offset += nbytes
-    return "".join(lines)
+    return "".join(lines), sizes
 
 
 def _write_container(path, fields, model_config, adapter_config, named_arrays, dtype):
     """Write one container atomically; returns the sha256 hex digest of the file."""
     raws = [np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes() for _, arr in named_arrays]
-    manifest = _manifest_text([(name, arr.shape) for name, arr in named_arrays], dtype,
-                              [hashlib.sha256(raw).hexdigest() for raw in raws])
+    manifest, _ = _manifest_text([(name, arr.shape) for name, arr in named_arrays], dtype,
+                                 [hashlib.sha256(raw).hexdigest() for raw in raws])
     hb = _header_text(fields, model_config, adapter_config).encode("utf-8")
     mb = manifest.encode("utf-8")
     body = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hb)), hb,
@@ -200,10 +206,12 @@ def _read_container(data, kind, dtype):
 
     layout = _declared_layout(fields, model_config, adapter_config)
     digests = [line.rpartition(" ")[2] for line in manifest_text.splitlines()]
-    if _manifest_text(layout, dtype, digests) != manifest_text:
+    if len(digests) != len(layout):
+        raise PackageFormatError(f"manifest lists {len(digests)} tensors, the header declares {len(layout)}")
+    rendered, sizes = _manifest_text(layout, dtype, digests)
+    if rendered != manifest_text:
         raise PackageFormatError("manifest does not match the tensor layout the header declares")
     np_dtype = _DTYPES[dtype]
-    sizes = [np_dtype.itemsize * math.prod(shape) for _, shape in layout]
     blob = body[pos:]
     if len(blob) != sum(sizes):
         raise PackageFormatError(f"blob is {len(blob)} bytes, manifest lists {sum(sizes)}")

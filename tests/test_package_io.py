@@ -190,11 +190,19 @@ def test_manifest_must_be_what_the_layout_renders(tmp_path, tiny_config):
     for bad in (manifest + "\n",  # blank line
                 f"{name} {shape} +{offset} {nbytes} {digest}\n{rest}",
                 f"{name} {shape} {offset} {nbytes}  {digest}\n{rest}",
-                rest + first + "\n"):  # reordered
+                rest + first + "\n",  # reordered
+                "",  # no lines
+                manifest.rsplit("\n", 2)[0] + "\n"):  # last line missing
         with pytest.raises(PackageFormatError):
             pio.parse_adapter_package(join_package(header, bad, blob))
     with pytest.raises(PackageFormatError):
         pio.parse_adapter_package(negative_size_package(tmp_path))
+    ckpt = tmp_path / "b.ckpt"
+    pio.save_backbone_checkpoint(ckpt, tiny_config, init_backbone(tiny_config, np.random.default_rng(15)))
+    header, manifest, blob = split_package(ckpt.read_bytes())
+    ckpt.write_bytes(join_package(header, manifest.rsplit("\n", 2)[0] + "\n", blob))
+    with pytest.raises(PackageFormatError):
+        pio.load_backbone_checkpoint(ckpt)
 
 
 def test_archive_round_trip_and_determinism(tmp_path, tiny_config):
