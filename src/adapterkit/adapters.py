@@ -21,9 +21,25 @@ from . import autodiff as ad
 from .codec import Descriptor
 from .errors import ShapeMismatchError
 
+ADAPTER_TYPES = ("text_task", "text_lang")
 ADAPTER_INPUT_CHOICES = ("sublayer_output", "after_original_ln")
 RESIDUAL_SOURCE_CHOICES = ("adapter_input", "pre_sublayer")
 NON_LINEARITIES = ("relu", "gelu", "swish", "tanh")
+
+
+def validate_name(name):
+    """Adapter and head names: non-empty, no whitespace or path separators."""
+    if not name or not isinstance(name, str):
+        raise ValueError("adapter name must be a non-empty string")
+    if any(c.isspace() for c in name) or "/" in name or "\\" in name:
+        raise ValueError(f"adapter name {name!r} may not contain whitespace or path separators")
+
+
+def validate_identity(name, adapter_type):
+    """The rules every registered adapter's name and type follow."""
+    validate_name(name)
+    if adapter_type not in ADAPTER_TYPES:
+        raise ValueError(f"adapter_type must be one of {ADAPTER_TYPES}, got {adapter_type!r}")
 
 
 class BottleneckClampWarning(UserWarning):
@@ -163,10 +179,11 @@ def point_layout(hidden_size, config):
     return layout
 
 
-def truncated_normal(rng, shape, std=0.02, bound=2.0):
-    """Normal(0, std) samples redrawn until they land within bound*std."""
+def truncated_normal(rng, shape):
+    """Normal(0, 0.02) samples redrawn until they land within two std."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
-    limit = bound * std
+    limit = 2.0 * std
     bad = np.abs(out) > limit
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))

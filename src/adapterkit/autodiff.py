@@ -447,28 +447,16 @@ def backward(loss):
     tape = loss._tape
     if tape is None or loss._producer is None:
         raise GradientError("loss is detached from any tape")
-    grads = {id(loss): np.asarray(1.0)}
-    leaf_grads = {}
+    # each tensor made on this tape is popped at its record; the leaves' gradients remain
+    grads = {loss: np.asarray(1.0)}
     for rec in reversed(tape.records):
-        g = grads.pop(id(rec.output), None)
+        g = grads.pop(rec.output, None)
         if g is None:
             continue
-        input_grads = rec.backward_fn(g)
-        for t, gi in zip(rec.inputs, input_grads):
-            if gi is None or not _tracked(t, tape):
-                continue
-            if t._producer is not None and t._tape is tape:
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-            elif t.requires_grad:
-                if t in leaf_grads:
-                    leaf_grads[t] = leaf_grads[t] + gi
-                else:
-                    leaf_grads[t] = gi
-    return leaf_grads
+        for t, gi in zip(rec.inputs, rec.backward_fn(g)):
+            if gi is not None and _tracked(t, tape):
+                grads[t] = grads[t] + gi if t in grads else gi
+    return grads
 
 
 def finite_difference_check(f, x, h=1e-5):

@@ -113,11 +113,11 @@ def _layer_layout(config):
 
 
 def backbone_layout(config):
-    """Ordered (name, shape) of every base tensor, as ``named_tensors()`` yields them."""
-    layout = _embedding_layout(config)
+    """Ordered (name, shape) of every base tensor, lazily, as ``named_tensors()`` yields them."""
+    yield from _embedding_layout(config)
+    layer = _layer_layout(config)
     for i in range(config.num_layers):
-        layout += [(f"layer{i}.{name}", shape) for name, shape in _layer_layout(config)]
-    return layout
+        yield from ((f"layer{i}.{name}", shape) for name, shape in layer)
 
 
 def build_backbone(config, make):

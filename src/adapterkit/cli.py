@@ -4,8 +4,8 @@ Commands: train, run, pack, validate, index, explore, search. Results go
 to stdout as JSON (or plain prediction lines); diagnostics go to stderr.
 
 Exit codes are stable: 0 success, 1 usage problems, 2 validation or
-compatibility failures (bad metadata, corrupt packages, unresolvable
-queries), 3 I/O and network failures.
+compatibility failures (bad metadata, corrupt packages, undecodable input
+files, unresolvable queries), 3 I/O and network failures.
 """
 
 import argparse
@@ -17,12 +17,12 @@ import numpy as np
 import yaml
 
 from . import hub, package_io, training
-from .adapters import PRESET_NAMES
+from .adapters import ADAPTER_TYPES, PRESET_NAMES
 from .adapters import preset as adapter_preset
 from .backbone import ModelConfig
 from .errors import (AdapterKitError, CompatibilityError, HubLookupError,
                      MetadataError, PackageFormatError, TransportError)
-from .manager import ADAPTER_TYPES, AdapterModel
+from .manager import AdapterModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,16 +56,20 @@ def write_sequences(path, sequences):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def read_sequences(path):
-    sequences = []
+def _read_lines(path, parse, what):
+    """``parse(line)`` for each non-blank line of a UTF-8 text file."""
+    values = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            sequences.append([int(t) for t in line.split()])
-        except ValueError:
-            raise PackageFormatError(f"{path}:{lineno}: token ids must be integers") from None
+        if line.strip():
+            try:
+                values.append(parse(line))
+            except ValueError:
+                raise PackageFormatError(f"{path}:{lineno}: {what} must be integers") from None
+    return values
+
+
+def read_sequences(path):
+    sequences = _read_lines(path, lambda line: [int(t) for t in line.split()], "token ids")
     if not sequences:
         raise PackageFormatError(f"{path}: no input sequences")
     return sequences
@@ -76,16 +80,7 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
-    labels = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            labels.append(int(line))
-        except ValueError:
-            raise PackageFormatError(f"{path}:{lineno}: labels must be integers") from None
-    return labels
+    return _read_lines(path, int, "labels")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +175,7 @@ def cmd_train(args):
 
     payload = {
         "task": args.task,
-        "mode": args.mode,
-        "steps": result.steps,
-        "final_loss": result.final_loss,
+        **result.to_dict(),
         "artifacts": {
             "checkpoint": str(checkpoint_path),
             "dev_inputs": str(dev_inputs_path),
@@ -403,20 +396,17 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
-    except ValueError as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
-    except TransportError as exc:
-        _info(f"error: {exc}")
-        return EXIT_IO
-    except OSError as exc:
-        _info(f"error: {exc}")
-        return EXIT_IO
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 is malformed, not misused
+        _info(f"error: {exc}")
+        return EXIT_VALIDATION
+    except (_UsageError, ValueError) as exc:
+        _info(f"error: {exc}")
+        return EXIT_USAGE
+    except (TransportError, OSError) as exc:
+        _info(f"error: {exc}")
+        return EXIT_IO
     except AdapterKitError as exc:
         if isinstance(exc, MetadataError):
             for v in exc.violations:

@@ -18,28 +18,26 @@ import os
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import yaml
 
 from . import package_io
+from .adapters import ADAPTER_TYPES
 from .errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                      MetadataError, RegistryError, TransportError)
-from .manager import ADAPTER_TYPES
 
 INDEX_FORMAT = "adapterkit-hub-index"
 INDEX_VERSION = 1
 CACHE_ENV_VAR = "ADAPTERKIT_CACHE"
+DOWNLOAD_TIMEOUT_S = 60  # per blocking socket operation, so a stalled mirror cannot hang a fetch
+DOWNLOAD_MAX_BYTES = 1 << 30
+_DOWNLOAD_CHUNK = 1 << 20  # read() allocates its size argument up front, so never ask for the cap
 
 _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _ID_PATTERN = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
-
-_REQUIRED = ("adapter_id", "adapter_type", "level2", "level3", "model_type",
-             "model_config_hash", "adapter_config_hash", "url", "sha256")
-_OPTIONAL = ("preset", "reduction_factor", "description", "author", "github",
-             "twitter", "citation", "version")
 
 
 @dataclass
@@ -73,6 +71,10 @@ class HubEntry:
         return out
 
 
+_REQUIRED = tuple(f.name for f in fields(HubEntry) if f.default is MISSING)
+_OPTIONAL = tuple(f.name for f in fields(HubEntry) if f.default is not MISSING)
+
+
 def ingest_metadata(source):
     """Validate one metadata card (YAML text or mapping) into a HubEntry.
 
@@ -90,7 +92,9 @@ def ingest_metadata(source):
         raise MetadataError(["metadata must be a mapping of field names to values"])
 
     violations = []
-    for key in sorted(set(data) - set(_REQUIRED) - set(_OPTIONAL)):
+    # a YAML key may be any scalar: string keys first, in their own order
+    for key in sorted(set(data) - set(_REQUIRED) - set(_OPTIONAL),
+                      key=lambda k: (not isinstance(k, str), str(k))):
         violations.append(f"unknown field {key!r}")
     for key in _REQUIRED:
         if key not in data or data[key] in (None, ""):
@@ -105,12 +109,7 @@ def ingest_metadata(source):
             return None
         return v.strip()
 
-    values = {key: str_field(key) for key in _REQUIRED}
-    for key in _OPTIONAL:
-        if key == "reduction_factor":
-            continue
-        if key in data and data[key] is not None:
-            values[key] = str_field(key)
+    values = {key: str_field(key) for key in _REQUIRED + _OPTIONAL if key != "reduction_factor"}
 
     if "reduction_factor" in data and data["reduction_factor"] is not None:
         rf = data["reduction_factor"]
@@ -128,7 +127,10 @@ def ingest_metadata(source):
         if values.get(key) and not _HEX64.match(values[key]):
             violations.append(f"{key} must be 64 lowercase hex characters")
     if values.get("url"):
-        scheme = urlsplit(values["url"]).scheme
+        try:
+            scheme = urlsplit(values["url"]).scheme
+        except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+            scheme = f"unparsable: {exc}"
         if scheme not in ("file", "http", "https"):
             violations.append(f"url scheme {scheme!r} not supported (file, http, https)")
 
@@ -257,14 +259,20 @@ def default_cache_dir():
 
 
 def _download(url):
-    scheme = urlsplit(url).scheme
-    if scheme not in ("file", "http", "https"):
-        raise TransportError(f"unsupported url scheme {scheme!r}")
+    chunks, size = [], 0
     try:
-        with urllib.request.urlopen(url) as resp:
-            return resp.read()
+        scheme = urlsplit(url).scheme
+        if scheme not in ("file", "http", "https"):
+            raise TransportError(f"unsupported url scheme {scheme!r}")
+        with urllib.request.urlopen(url, timeout=DOWNLOAD_TIMEOUT_S) as resp:
+            while chunk := resp.read(_DOWNLOAD_CHUNK):
+                size += len(chunk)
+                if size > DOWNLOAD_MAX_BYTES:
+                    raise TransportError(f"{url} is larger than {DOWNLOAD_MAX_BYTES} bytes")
+                chunks.append(chunk)
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise TransportError(f"fetch failed for {url}: {exc}") from None
+    return b"".join(chunks)
 
 
 def fetch(url, sha256, cache_dir=None):

@@ -15,17 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .adapters import (AdapterConfig, AdapterLayerWeights, count_adapter_params,
-                       init_layer_weights, point_layout, resolve_config)
+                       init_layer_weights, point_layout, resolve_config, validate_identity,
+                       validate_name)
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
-
-ADAPTER_TYPES = ("text_task", "text_lang")
-
-
-def _validate_name(name):
-    if not name or not isinstance(name, str):
-        raise ValueError("adapter name must be a non-empty string")
-    if any(c.isspace() for c in name) or "/" in name or "\\" in name:
-        raise ValueError(f"adapter name {name!r} may not contain whitespace or path separators")
 
 
 @dataclass
@@ -78,9 +70,7 @@ def _digest(named_tensors):
 
 def new_adapter_entry(model_config, name, adapter_type, config, rng):
     """Build a freshly initialized adapter for a given backbone shape."""
-    _validate_name(name)
-    if adapter_type not in ADAPTER_TYPES:
-        raise ValueError(f"adapter_type must be one of {ADAPTER_TYPES}, got {adapter_type!r}")
+    validate_identity(name, adapter_type)
     weights = []
     for _ in range(model_config.num_layers):
         weights.append({point: init_layer_weights(model_config.hidden_size, config, rng)
@@ -123,17 +113,13 @@ class AdapterModel:
             raise ValueError(f"adapter {name!r} already registered")
         cfg = resolve_config(config, reduction_factor)
         rng = np.random.default_rng(self._seed_root.spawn(1)[0] if seed is None else seed)
-        entry = new_adapter_entry(self.config, name, adapter_type, cfg, rng)
-        self._adapters[name] = entry
-        return entry
+        return self.install_adapter(new_adapter_entry(self.config, name, adapter_type, cfg, rng))
 
-    def install_adapter(self, entry, replace=False):
+    def install_adapter(self, entry):
         """Register an already-built :class:`AdapterEntry` (e.g. from a package)."""
-        _validate_name(entry.name)
-        if entry.name in self._adapters and not replace:
+        validate_identity(entry.name, entry.adapter_type)
+        if entry.name in self._adapters:
             raise ValueError(f"adapter {entry.name!r} already registered")
-        if entry.adapter_type not in ADAPTER_TYPES:
-            raise ValueError(f"adapter_type must be one of {ADAPTER_TYPES}")
         self._adapters[entry.name] = entry
         return entry
 
@@ -163,23 +149,16 @@ class AdapterModel:
 
     def add_head(self, name, num_labels):
         """Attach a zero-initialized linear head (stable early training)."""
-        _validate_name(name)
-        if name in self._heads:
-            raise ValueError(f"head {name!r} already registered")
         if num_labels < 2:
             raise ValueError("a prediction head needs at least 2 labels")
-        head = PredictionHead(
-            name=name,
-            num_labels=int(num_labels),
-            w=ad.tensor(np.zeros((self.config.hidden_size, int(num_labels)))),
-            b=ad.tensor(np.zeros(int(num_labels))),
-        )
-        self._heads[name] = head
-        if self.active_head is None:
-            self.active_head = name
-        return head
+        num_labels = int(num_labels)
+        return self.install_head(PredictionHead(
+            name, num_labels, ad.tensor(np.zeros((self.config.hidden_size, num_labels))),
+            ad.tensor(np.zeros(num_labels))))
 
     def install_head(self, head, replace=False):
+        """Register a built head; the first head registered becomes the active one."""
+        validate_name(head.name)
         if head.name in self._heads and not replace:
             raise ValueError(f"head {head.name!r} already registered")
         if head.w.shape != (self.config.hidden_size, head.num_labels):
@@ -305,19 +284,18 @@ class AdapterModel:
         head = self.get_head(with_head) if with_head is not None else None
         return package_io.save_adapter_package(path, self.config, entry, head)
 
-    def load_adapter(self, source, rename=None, require_compatible=True):
+    def load_adapter(self, source, rename=None):
         """Install an adapter from a package path (or decoded package).
 
         The package must have been extracted from a backbone with the same
-        architecture; set ``require_compatible=False`` to skip that check.
-        Any bundled head is registered too (replacing a same-named head).
+        architecture. Any bundled head is registered too (replacing a same-named head).
         Returns the registered adapter name.
         """
         from . import package_io
         pkg = source
         if not isinstance(pkg, package_io.AdapterPackage):
             pkg = package_io.load_adapter_package(source)
-        if require_compatible and pkg.model_config_hash != self.config.config_hash():
+        if pkg.model_config_hash != self.config.config_hash():
             raise CompatibilityError(
                 f"adapter {pkg.name!r} was extracted from model hash "
                 f"{pkg.model_config_hash[:12]}..., this model is "

@@ -28,6 +28,7 @@ backbone checkpoints keep float64 so training can resume bit-exactly.
 
 import hashlib
 import io
+import itertools
 import math
 import os
 import struct
@@ -151,7 +152,7 @@ def _read_header(text, kind, dtype):
 
 
 def _declared_layout(fields, model_config, adapter_config):
-    """The exact ordered (name, shape) payload a header declares."""
+    """The exact ordered (name, shape) payload a header declares, as an iterator."""
     if adapter_config is None:
         return bb.backbone_layout(model_config)
     layout = expected_adapter_tensors(model_config, adapter_config)
@@ -162,7 +163,8 @@ def _declared_layout(fields, model_config, adapter_config):
             raise PackageFormatError(f"bad package header: {exc}") from None
         if num_labels < 2:
             raise PackageFormatError(f"head_num_labels must be at least 2, got {num_labels}")
-        layout += [("head.w", (model_config.hidden_size, num_labels)), ("head.b", (num_labels,))]
+        layout = itertools.chain(layout, [("head.w", (model_config.hidden_size, num_labels)),
+                                          ("head.b", (num_labels,))])
     return layout
 
 
@@ -204,10 +206,12 @@ def _read_container(data, kind, dtype):
     header_text, manifest_text = texts
     fields, model_config, adapter_config = _read_header(header_text, kind, dtype)
 
-    layout = _declared_layout(fields, model_config, adapter_config)
     digests = [line.rpartition(" ")[2] for line in manifest_text.splitlines()]
+    # the header may declare any number of tensors: build no more than the file lists, plus one
+    layout = list(itertools.islice(_declared_layout(fields, model_config, adapter_config),
+                                   len(digests) + 1))
     if len(digests) != len(layout):
-        raise PackageFormatError(f"manifest lists {len(digests)} tensors, the header declares {len(layout)}")
+        raise PackageFormatError(f"manifest lists {len(digests)} tensors, not the number the header declares")
     rendered, sizes = _manifest_text(layout, dtype, digests)
     if rendered != manifest_text:
         raise PackageFormatError("manifest does not match the tensor layout the header declares")
@@ -231,12 +235,12 @@ def _read_container(data, kind, dtype):
 
 
 def expected_adapter_tensors(model_config, adapter_config):
-    """Ordered (name, shape) pairs an adapter payload must contain exactly."""
+    """Ordered (name, shape) pairs an adapter payload must contain exactly, as an iterator."""
     per_point = adp.point_layout(model_config.hidden_size, adapter_config)
-    return [(f"layer{i}.{point}.{name}", shape)
+    return ((f"layer{i}.{point}.{name}", shape)
             for i in range(model_config.num_layers)
             for point in adapter_config.insertion_points()
-            for name, shape in per_point]
+            for name, shape in per_point)
 
 
 def save_adapter_package(path, model_config, entry, head=None):
@@ -255,7 +259,7 @@ def save_adapter_package(path, model_config, entry, head=None):
         "adapter_config_hash": entry.config.config_hash(),
     }
     named = [(name, t.data) for name, t in entry.named_tensors()]
-    if [(n, a.shape) for n, a in named] != expected_adapter_tensors(model_config, entry.config):
+    if [(n, a.shape) for n, a in named] != list(expected_adapter_tensors(model_config, entry.config)):
         raise PackageFormatError("adapter tensors do not match the declared configuration")
     if head is not None:
         fields.update(head_name=head.name, head_num_labels=head.num_labels)
@@ -284,10 +288,10 @@ class AdapterPackage:
 def parse_adapter_package(data):
     """Decode and fully validate adapter package bytes."""
     fields, model_config, adapter_config, tensors, sha = _read_container(data, "adapter", "f32")
-    for key in ("name", "adapter_type"):
-        if key not in fields:
-            raise PackageFormatError(f"header missing {key}")
     try:
+        adp.validate_identity(fields.get("name"), fields.get("adapter_type"))
+        if "head_name" in fields:
+            adp.validate_name(fields["head_name"])
         trained = read_value(bool, fields.get("trained", ""))
     except ValueError as exc:
         raise PackageFormatError(f"bad package header: {exc}") from None

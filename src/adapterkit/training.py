@@ -14,6 +14,7 @@ from .errors import GradientError
 
 DEFAULT_LR = {"adapter_only": 1e-3, "full_finetune": 1e-4}
 MODES = ("adapter_only", "full_finetune")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -23,9 +24,6 @@ class TrainConfig:
     mode: str = "adapter_only"
     seed: int = 0
     learning_rate: float | None = None  # None: 1e-3 adapter_only, 1e-4 full_finetune
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 16
     max_steps: int = 500
 
@@ -46,12 +44,9 @@ class TrainConfig:
 class Adam(object):
     """Adam with bias correction; updates only tensors that received a gradient."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -59,19 +54,19 @@ class Adam(object):
     def step(self, grads):
         """Apply one update from a {tensor: gradient array} mapping."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = grads.get(p)
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise GradientError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self._m[i] / c1
             v_hat = self._v[i] / c2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +200,16 @@ def accuracy(predicted, gold):
     return float((p == g).mean())
 
 
-def f1_score(predicted, gold, positive=1):
-    """Binary F1 for the given positive label; empty denominators score 0."""
+def f1_score(predicted, gold):
+    """Binary F1 with label 1 as the positive class; empty denominators score 0."""
     p, g = np.asarray(predicted), np.asarray(gold)
     if p.shape != g.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {g.shape}")
     if p.size == 0:
         raise ValueError("cannot score an empty split")
-    tp = int(((p == positive) & (g == positive)).sum())
-    fp = int(((p == positive) & (g != positive)).sum())
-    fn = int(((p != positive) & (g == positive)).sum())
+    tp = int(((p == 1) & (g == 1)).sum())
+    fp = int(((p == 1) & (g != 1)).sum())
+    fn = int(((p != 1) & (g == 1)).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
@@ -253,11 +248,11 @@ def spearman(a, b):
     return float((ra * rb).sum() / denom)
 
 
-def evaluate(model, sequences, labels, head=None):
-    """Loss plus accuracy/F1/Spearman of argmax predictions on a labeled set."""
+def evaluate(model, sequences, labels):
+    """Loss plus accuracy/F1/Spearman of the active head's argmax predictions."""
     if not sequences:
         raise ValueError("cannot evaluate an empty split")
-    logits = model.batch_logits(sequences, head)
+    logits = model.batch_logits(sequences)
     loss = ad.cross_entropy(logits, labels)
     predicted = [int(i) for i in np.argmax(logits.data, axis=1)]
     return {
@@ -308,7 +303,7 @@ class _Batcher:
         return idx
 
 
-def run_training(model, sequences, labels, config, adapter_name=None, head=None,
+def run_training(model, sequences, labels, config, adapter_name=None,
                  dev_sequences=None, dev_labels=None):
     """Train the model on a labeled dataset.
 
@@ -316,7 +311,7 @@ def run_training(model, sequences, labels, config, adapter_name=None, head=None,
     (``adapter_name`` may be one name or a list; omitted, the model's
     already-active stack is used) plus the heads receive updates. In
     full_finetune mode every backbone tensor trains and no adapter is
-    activated. The recorded loss at each step is computed before that
+    activated. The active head computes the loss. The recorded loss at each step is computed before that
     step's update, so ``losses[0]`` is the untrained model's loss.
     """
     if len(sequences) != len(labels):
@@ -333,10 +328,8 @@ def run_training(model, sequences, labels, config, adapter_name=None, head=None,
         names = []
         model.train_full()
 
-    head_obj = model.get_head(head)
     params = [t for _, t, _ in model.named_parameters(trainable_only=True)]
-    optimizer = Adam(params, lr=config.resolved_learning_rate(), beta1=config.beta1,
-                     beta2=config.beta2, epsilon=config.adam_epsilon)
+    optimizer = Adam(params, lr=config.resolved_learning_rate())
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     batcher = _Batcher(len(sequences), config.batch_size, rng)
     labels_arr = np.asarray(labels, dtype=np.intp)
@@ -347,7 +340,7 @@ def run_training(model, sequences, labels, config, adapter_name=None, head=None,
         batch_seqs = [sequences[i] for i in idx]
         batch_labels = labels_arr[idx]
         with ad.Tape():
-            logits = model.batch_logits(batch_seqs, head_obj.name)
+            logits = model.batch_logits(batch_seqs)
             loss = ad.cross_entropy(logits, batch_labels)
             grads = ad.backward(loss)
         optimizer.step(grads)
@@ -357,5 +350,5 @@ def run_training(model, sequences, labels, config, adapter_name=None, head=None,
     for name in names:
         model.get_adapter(name).trained = True
     if dev_sequences is not None:
-        result.dev_metrics = evaluate(model, dev_sequences, dev_labels, head_obj.name)
+        result.dev_metrics = evaluate(model, dev_sequences, dev_labels)
     return result

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from adapterkit import AdapterModel, ModelConfig
+from adapterkit import package_io as pio
 
 
 @pytest.fixture
@@ -53,6 +55,24 @@ def join_package(header, manifest, blob):
     body = b"".join([b"ADPK", struct.pack("<IQ", 1, len(header)), header,
                      struct.pack("<Q", len(manifest)), manifest, blob])
     return body + hashlib.sha256(body).digest()
+
+
+def reheader(data, kind="adapter", num_layers=None, **changes):
+    """Package bytes whose header takes new field values (or ``num_layers``), resealed.
+
+    The header is rewritten in canonical form with matching config hashes,
+    and the manifest and blob are kept, so only the changed values can make
+    a reader refuse the result.
+    """
+    header, manifest, blob = split_package(data)
+    fields, model_config, adapter_config = pio._read_header(
+        header.decode("utf-8"), kind, "f32" if kind == "adapter" else "f64")
+    if num_layers is not None:
+        model_config = dataclasses.replace(model_config, num_layers=num_layers)
+        fields["model_config_hash"] = model_config.config_hash()
+    fields.update(changes)
+    return join_package(pio._header_text(fields, model_config, adapter_config).encode("utf-8"),
+                        manifest, blob)
 
 
 def negative_size_package(tmp_path):

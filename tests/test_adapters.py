@@ -108,7 +108,7 @@ def test_resolve_config_accepts_names_and_instances():
 
 def test_truncated_normal_respects_bound():
     rng = np.random.default_rng(1)
-    sample = truncated_normal(rng, (200, 50), std=0.02)
+    sample = truncated_normal(rng, (200, 50))
     assert np.abs(sample).max() <= 2.0 * 0.02
     assert abs(sample.std() - 0.02) < 0.005
 

@@ -10,7 +10,7 @@ import pytest
 from adapterkit import package_io
 from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import main, read_labels, read_sequences, write_labels, write_sequences
-from conftest import negative_size_package
+from conftest import negative_size_package, reheader
 
 TINY_FLAGS = ["--hidden-size", "8", "--layers", "1", "--heads", "2",
               "--ffn-size", "16", "--vocab-size", "64", "--max-seq-len", "8"]
@@ -152,6 +152,15 @@ def test_validate_detects_corruption_and_incompatibility(tmp_path, capsys):
     assert main(["validate", "--package", str(negative)]) == 2
     assert "head_num_labels" in capsys.readouterr().err
 
+    # resealed identity fields the registry would refuse: both validate and run refuse them
+    for field, value in (("adapter_type", "text_image"), ("name", "a b"), ("head_name", "c/s")):
+        bad = tmp_path / f"{field}.pkg"
+        bad.write_bytes(reheader(pkg.read_bytes(), **{field: value}))
+        assert main(["validate", "--package", str(bad)]) == 2, field
+        assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"), "--package", str(bad),
+                     "--inputs", str(out_dir / "dev_inputs.txt")]) == 2, field
+        assert "error:" in capsys.readouterr().err
+
     other_config = ModelConfig(hidden_size=16, num_layers=1, num_heads=2,
                                ffn_size=32, vocab_size=64, max_seq_len=8)
     other_ckpt = tmp_path / "other.ckpt"
@@ -179,6 +188,11 @@ def test_index_rejects_bad_cards_with_file_context(tmp_path, capsys):
     assert main(["index", "--cards", str(cards), "--out", str(tmp_path / "i2.json")]) == 2
     err = capsys.readouterr().err
     assert "bad.yaml" in err and "invalid metadata" in err
+    bad.write_bytes(b"adapter_id: caf\xe9\n")  # latin-1, not UTF-8
+    assert main(["index", "--cards", str(bad), "--out", str(tmp_path / "i2.json")]) == 2
+    bad.write_text("1: 2\nfoo: 3\n", encoding="utf-8")  # an int key beside a string key
+    assert main(["index", "--cards", str(bad), "--out", str(tmp_path / "i2.json")]) == 2
+    assert "unknown field 1" in capsys.readouterr().err
     empty = tmp_path / "void"
     empty.mkdir()
     assert main(["index", "--cards", str(empty),
@@ -210,6 +224,10 @@ def test_search_failure_modes(tmp_path, capsys):
                  "--model-config-hash", "f" * 64]) == 2  # incompatible
     err = capsys.readouterr().err
     assert "other backbones" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(index.read_bytes().replace(b"sst-2", b"sst-\xe9"))
+    assert main(["explore", "--index", str(latin1)]) == 2
+    assert main(["search", "--index", str(latin1), "--query", "sst"]) == 2
     # the advertised archive does not exist: transport failure
     assert main(["search", "--index", str(index), "--query", "sst",
                  "--model-config-hash", "a" * 64, "--fetch",
@@ -226,6 +244,11 @@ def test_run_rejects_unreadable_archive_metadata(tmp_path, capsys):
         zf.writestr(package_io.ARCHIVE_METADATA, "a: [unclosed")
     assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"), "--archive", str(archive),
                  "--inputs", str(out_dir / "dev_inputs.txt")]) == 2
+    assert "error:" in capsys.readouterr().err
+    inputs = tmp_path / "inputs.txt"
+    inputs.write_bytes(b"1 2\n\xff\xfe\n")
+    assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"),
+                 "--package", str(out_dir / "copycat.pkg"), "--inputs", str(inputs)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

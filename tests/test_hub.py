@@ -76,6 +76,11 @@ def test_ingest_rejects_non_mapping_and_bad_types():
         hub.ingest_metadata(_card(reduction_factor=0))
     with pytest.raises(MetadataError):
         hub.ingest_metadata(_card(model_config_hash="A" * 64))  # uppercase hex
+    with pytest.raises(MetadataError, match="url"):
+        hub.ingest_metadata(_card(url="http://["))  # urlsplit raises ValueError
+    with pytest.raises(MetadataError) as err:
+        hub.ingest_metadata("1: 2\nfoo: 3\nNone: 4\n" + yaml.safe_dump(_card()))
+    assert err.value.violations == ["unknown field 'None'", "unknown field 'foo'", "unknown field 1"]
 
 
 # -- index -------------------------------------------------------------------
@@ -204,6 +209,30 @@ def test_fetch_checksum_and_transport_errors(tmp_path):
         hub.fetch(missing.as_uri(), "a" * 64, cache_dir=tmp_path / "c3")
     with pytest.raises(TransportError):
         hub._download("ftp://mirror/x.zip")
+
+
+def test_fetch_is_bounded_in_time_and_size(tmp_path, monkeypatch):
+    payload = b"an archive of 28 bytes total"
+    src = tmp_path / "src.zip"
+    src.write_bytes(payload)
+    sha = hashlib.sha256(payload).hexdigest()
+    timeouts = []
+    urlopen = hub.urllib.request.urlopen
+
+    def recording_urlopen(url, *args, **kwargs):
+        timeouts.append(kwargs.get("timeout"))
+        return urlopen(url, *args, **kwargs)
+
+    monkeypatch.setattr(hub.urllib.request, "urlopen", recording_urlopen)
+    monkeypatch.setattr(hub, "_DOWNLOAD_CHUNK", 8)
+    monkeypatch.setattr(hub, "DOWNLOAD_MAX_BYTES", len(payload) - 1)
+    cache = tmp_path / "cache"
+    with pytest.raises(TransportError, match="larger than"):
+        hub.fetch(src.as_uri(), sha, cache_dir=cache)
+    assert list(cache.iterdir()) == []  # nothing half-written into the cache
+    monkeypatch.setattr(hub, "DOWNLOAD_MAX_BYTES", len(payload))
+    assert hub.fetch(src.as_uri(), sha, cache_dir=cache)[0].read_bytes() == payload
+    assert timeouts == [hub.DOWNLOAD_TIMEOUT_S] * 2 and hub.DOWNLOAD_TIMEOUT_S > 0
 
 
 def test_fetch_http_hits_server_once(tmp_path):

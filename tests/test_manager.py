@@ -63,6 +63,12 @@ def test_heads_register_and_activate(tiny_model):
     bad = PredictionHead("bad", 2, ad.tensor(np.zeros((5, 2))), ad.tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatchError):
         tiny_model.install_head(bad)
+    h = tiny_model.config.hidden_size
+    for name in ("c/s", "a b", ""):  # installed heads follow the same name rule as added ones
+        with pytest.raises(ValueError):
+            tiny_model.install_head(PredictionHead(name, 2, ad.tensor(np.zeros((h, 2))),
+                                                   ad.tensor(np.zeros(2))))
+    assert tiny_model.list_heads() == ["cls", "other"]
 
 
 def test_set_active_adapters_validates(tiny_model):
@@ -201,9 +207,6 @@ def test_load_rejects_mismatched_backbone(tmp_path, tiny_model, desk_config):
     other = AdapterModel(desk_config, seed=0)
     with pytest.raises(CompatibilityError):
         other.load_adapter(path)
-    # explicit opt-out skips the check but keeps the weights
-    name = other.load_adapter(path, require_compatible=False)
-    assert name in other.list_adapters()
 
 
 def test_load_rename_and_duplicate(tmp_path, tiny_model, tiny_config):

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +11,7 @@ from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
 from adapterkit.backbone import ModelConfig, encode, init_backbone
 from adapterkit.errors import ChecksumError, PackageFormatError
 from adapterkit.manager import AdapterModel, new_adapter_entry
-from conftest import join_package, negative_size_package, split_package
+from conftest import join_package, negative_size_package, reheader, split_package
 
 
 def _random_entry(model_config, config, seed, name="probe"):
@@ -132,7 +133,7 @@ def test_expected_tensor_order_matches_entry(tiny_config):
     for config in (preset("pfeiffer", 2), preset("houlsby", 4), preset("bapna", 2)):
         entry = _random_entry(tiny_config, config, seed=7)
         want = [(name, t.data.shape) for name, t in entry.named_tensors()]
-        assert pio.expected_adapter_tensors(tiny_config, config) == want
+        assert list(pio.expected_adapter_tensors(tiny_config, config)) == want
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, tiny_config):
@@ -260,3 +261,23 @@ def test_verify_package_report(tmp_path, tiny_config):
     assert report["model_config_hash"] == tiny_config.config_hash()
     assert report["file_sha256"] == pio.file_sha256(path)
     assert len(report["file_sha256"]) == 64
+
+
+def test_header_layout_is_bounded_by_the_file(tmp_path, tiny_config):
+    """A header declaring 200,000 layers is refused without building their layout."""
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=16)
+    pkg = tmp_path / "a.pkg"
+    pio.save_adapter_package(pkg, tiny_config, entry)
+    ckpt = tmp_path / "b.ckpt"
+    pio.save_backbone_checkpoint(ckpt, tiny_config, init_backbone(tiny_config, np.random.default_rng(16)))
+    pkg.write_bytes(reheader(pkg.read_bytes(), num_layers=200_000))
+    ckpt.write_bytes(reheader(ckpt.read_bytes(), kind="backbone", num_layers=200_000))
+    for path, load in ((pkg, pio.load_adapter_package), (ckpt, pio.load_backbone_checkpoint)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PackageFormatError, match="manifest lists"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, (path.name, peak)

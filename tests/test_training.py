@@ -33,7 +33,7 @@ def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(0)
     p = ad.tensor(rng.standard_normal((3, 4)), requires_grad=True)
     ref = p.data.copy()
-    opt = Adam([p], lr=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8)
+    opt = Adam([p], lr=0.01)
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
     for t in range(1, 21):
