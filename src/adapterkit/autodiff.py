@@ -1,16 +1,22 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The primitive set is exactly what the transformer encoder and the adapter
-training loop need: matrix products, bias adds, four activations, row
-softmax, layer normalization, embedding lookup, first-position pooling,
-column slicing/concatenation for attention heads, and two losses.
+The primitive set is what the batched transformer encoder and the adapter
+training loop need: matrix products, bias adds, four activations, layer
+normalization, embedding lookup, masked multi-head attention over packed
+rows, and two losses. ``scale``, ``softmax_rows``, ``transpose``,
+``slice_cols``, ``concat_cols`` and ``stack_rows`` are no longer on the
+encoder's path; they remain, with ``mean_pool_first`` (which ``encode``
+still uses), because the benchmark's tracer wraps them by name.
 
 Gradients are recorded on an explicit :class:`Tape`. A primitive appends a
 record only while a tape is active *and* at least one input is tracked
 (requires gradient, or was itself produced on the active tape), so plain
 inference never pays for bookkeeping. Records are appended in execution
 order, which makes the tape topologically sorted by construction; the
-backward pass is a single reverse sweep that visits each record once.
+backward pass is a single reverse sweep that visits each record once, and
+runs inside the tape's ``with`` block. Leaving the block unlinks each record
+from its output, so a finished step is freed by reference counting rather
+than left for the cyclic garbage collector.
 
 Conventions:
 
@@ -93,6 +99,10 @@ class Tape:
         stack = _ACTIVE_TAPES.get()
         assert stack[-1] is self, "tapes must nest"
         _ACTIVE_TAPES.set(stack[:-1])
+        # break the record -> output -> record and tensor -> tape -> record cycles
+        for rec in self.records:
+            rec.output._tape = None
+            rec.output = None
         return False
 
 
@@ -373,6 +383,54 @@ def stack_rows(parts):
         return [g[i].copy() for i in range(len(parts))]
 
     return _finish("stack_rows", parts, np.stack([p.data for p in parts]), backward_fn)
+
+
+def attention(q, k, v, lengths, num_heads):
+    """Masked multi-head self-attention over packed rows.
+
+    ``q``, ``k`` and ``v`` hold the rows of ``len(lengths)`` sequences back
+    to back. Each sequence attends only to its own rows: they are padded by
+    index to ``(batch, heads, longest, head_dim)``, and the scores of padded
+    keys are set to -inf before the row-max shift. Returns the packed
+    context rows and the ``(batch, heads, longest, longest)`` probabilities.
+    """
+    for t in (q, k, v):
+        _require_rank("attention", t, 2)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    total, width = q.shape
+    if k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatchError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or lengths.sum() != total:
+        raise ShapeMismatchError(f"attention: lengths {lengths.tolist()} do not pack {total} rows")
+    if width % num_heads:
+        raise ShapeMismatchError(f"attention: width {width} not divisible by {num_heads} heads")
+    batch, longest, d = lengths.size, int(lengths.max()), width // num_heads
+    starts = np.cumsum(lengths) - lengths
+    rows = np.arange(total) + np.repeat(np.arange(batch) * longest - starts, lengths)
+
+    def pad(x):
+        out = np.zeros((batch * longest, width))
+        out[rows] = x
+        return out.reshape(batch, longest, num_heads, d).transpose(0, 2, 1, 3)
+
+    def unpad(x):
+        return x.transpose(0, 2, 1, 3).reshape(batch * longest, width)[rows]
+
+    factor = 1.0 / np.sqrt(d)
+    q_p, k_p, v_p = pad(q.data), pad(k.data), pad(v.data)
+    padded_key = (np.arange(longest) >= lengths[:, None])[:, None, None, :]
+    scores = np.where(padded_key, -np.inf, (q_p @ k_p.transpose(0, 1, 3, 2)) * factor)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    probs = e / e.sum(axis=3, keepdims=True)
+
+    def backward_fn(g):
+        g_p = pad(g)
+        d_probs = g_p @ v_p.transpose(0, 1, 3, 2)
+        d_scores = factor * (probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)))
+        return [unpad(d_scores @ k_p), unpad(d_scores.transpose(0, 1, 3, 2) @ q_p),
+                unpad(probs.transpose(0, 1, 3, 2) @ g_p)]
+
+    return _finish("attention", [q, k, v], unpad(probs @ v_p), backward_fn), probs
 
 
 def sum_all(x):

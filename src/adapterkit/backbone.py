@@ -6,10 +6,17 @@ hook in at two points per layer, after the attention sublayer and after
 the feed-forward sublayer, between the sublayer and its add-and-norm (or
 after it, depending on the adapter's configuration).
 
+A batch is encoded in one pass over packed rows: the sequences' tokens lie
+back to back in one ``(total tokens, hidden)`` tensor, so every row-wise
+step (projections, biases, layer norms, activations, residual adds and all
+adapters) runs on it unchanged and no work is spent on padding. Only
+self-attention needs the sequence boundaries, which it takes as lengths.
+
 The pooled representation is the first position's hidden state; prediction
 heads own any further projection.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -163,29 +170,17 @@ class LayerTrace:
 
 @dataclass
 class EncodeResult:
-    hidden: ad.Tensor  # seq-by-hidden
-    pooled: ad.Tensor  # hidden-size vector (first position)
+    hidden: ad.Tensor  # packed rows: total-tokens-by-hidden
+    pooled: ad.Tensor  # batch-by-hidden (first positions); a vector from encode
     layer_traces: list | None = None
 
 
-def _attention(config, lw, x):
-    """Multi-head self-attention sublayer (pre-residual output)."""
-    d = config.head_dim
+def _attention(config, lw, x, lengths):
+    """Multi-head self-attention sublayer (pre-residual output) and its probabilities."""
     q = ad.add_bias(ad.matmul(x, lw.w_q), lw.b_q)
     k = ad.add_bias(ad.matmul(x, lw.w_k), lw.b_k)
     v = ad.add_bias(ad.matmul(x, lw.w_v), lw.b_v)
-    contexts = []
-    probs = []
-    for head in range(config.num_heads):
-        lo, hi = head * d, (head + 1) * d
-        q_h = ad.slice_cols(q, lo, hi)
-        k_h = ad.slice_cols(k, lo, hi)
-        v_h = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(q_h, ad.transpose(k_h)), 1.0 / np.sqrt(d))
-        p = ad.softmax_rows(scores)
-        probs.append(p)
-        contexts.append(ad.matmul(p, v_h))
-    ctx = ad.concat_cols(contexts)
+    ctx, probs = ad.attention(q, k, v, lengths, config.num_heads)
     return ad.add_bias(ad.matmul(ctx, lw.w_o), lw.b_o), probs
 
 
@@ -230,10 +225,10 @@ def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
     return cur
 
 
-def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), trace=None):
-    """One full transformer layer on a seq-by-hidden tensor."""
+def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), trace=None, lengths=None):
+    """One full transformer layer on packed rows; ``lengths`` None means one sequence (as ``trace`` needs)."""
     eps = config.layer_norm_epsilon
-    attn_out, probs = _attention(config, lw, x)
+    attn_out, probs = _attention(config, lw, x, [x.shape[0]] if lengths is None else lengths)
     attn_hidden = _through_insertion_point(
         x, attn_out, lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
     ffn_out = _ffn(config, lw, attn_hidden)
@@ -247,33 +242,45 @@ def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), trace=None):
             ffn_sublayer_output=ffn_out.data,
             ffn_residual_input=attn_hidden.data,
             post_ffn_hidden=ffn_hidden.data,
-            attention_probs=[p.data for p in probs],
+            attention_probs=list(probs[0]),
         ))
     return ffn_hidden
 
 
-def encode(config, weights, token_ids, layer_hooks=None, collect_traces=False):
-    """Run the encoder over a token id sequence.
+def _packed_ids(config, sequences):
+    """Validated token ids of a batch, back to back, and the sequence lengths."""
+    if not len(sequences):
+        raise ShapeMismatchError("encode: empty batch")
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    if not lengths.all():
+        raise ShapeMismatchError("encode: empty token sequence")
+    if lengths.max() > config.max_seq_len:
+        raise ShapeMismatchError(
+            f"encode: sequence length {lengths.max()} exceeds max_seq_len {config.max_seq_len}")
+    try:
+        ids = np.fromiter(itertools.chain.from_iterable(sequences), np.intp, int(lengths.sum()))
+        valid = ids.min() >= 0 and ids.max() < config.vocab_size
+    except OverflowError:
+        valid = False
+    if not valid:
+        bad = next(int(t) for seq in sequences for t in seq if not 0 <= int(t) < config.vocab_size)
+        raise ShapeMismatchError(f"encode: token id {bad} out of range [0, {config.vocab_size})")
+    return ids, lengths
+
+
+def encode_batch(config, weights, sequences, layer_hooks=None, collect_traces=False):
+    """Run the encoder over a batch of token id sequences in one pass.
 
     ``layer_hooks``, when given, is a list with one entry per layer:
     ``(attention_hooks, output_hooks)`` as consumed by :func:`apply_layer`.
-    Returns an :class:`EncodeResult` with the final hidden states and the
-    first-position pooled vector.
+    Returns an :class:`EncodeResult` with the packed final hidden rows and
+    one pooled row per sequence (its first position).
     """
-    ids = [int(t) for t in token_ids]
-    if not ids:
-        raise ShapeMismatchError("encode: empty token sequence")
-    if len(ids) > config.max_seq_len:
-        raise ShapeMismatchError(
-            f"encode: sequence length {len(ids)} exceeds max_seq_len {config.max_seq_len}"
-        )
-    for t in ids:
-        if t < 0 or t >= config.vocab_size:
-            raise ShapeMismatchError(f"encode: token id {t} out of range [0, {config.vocab_size})")
-
+    ids, lengths = _packed_ids(config, sequences)
+    starts = np.cumsum(lengths) - lengths
     eps = config.layer_norm_epsilon
     tok = ad.embedding_lookup(weights.token_embeddings, ids)
-    pos = ad.embedding_lookup(weights.position_embeddings, list(range(len(ids))))
+    pos = ad.embedding_lookup(weights.position_embeddings, np.arange(ids.size) - np.repeat(starts, lengths))
     x = ad.layer_norm(ad.add(tok, pos), weights.emb_ln_gamma, weights.emb_ln_beta, eps)
 
     traces = [] if collect_traces else None
@@ -281,6 +288,16 @@ def encode(config, weights, token_ids, layer_hooks=None, collect_traces=False):
         attn_hooks, out_hooks = ((), ())
         if layer_hooks is not None:
             attn_hooks, out_hooks = layer_hooks[i]
-        x = apply_layer(config, lw, x, attn_hooks, out_hooks, traces)
+        x = apply_layer(config, lw, x, attn_hooks, out_hooks, traces, lengths)
 
-    return EncodeResult(hidden=x, pooled=ad.mean_pool_first(x), layer_traces=traces)
+    return EncodeResult(hidden=x, pooled=ad.embedding_lookup(x, starts), layer_traces=traces)
+
+
+def encode(config, weights, token_ids, layer_hooks=None, collect_traces=False):
+    """Run the encoder over one token id sequence: :func:`encode_batch` on a batch of one.
+
+    The result's ``pooled`` is the first position's hidden-size vector.
+    """
+    result = encode_batch(config, weights, [token_ids], layer_hooks, collect_traces)
+    result.pooled = ad.mean_pool_first(result.hidden)
+    return result

@@ -20,8 +20,8 @@ from . import hub, package_io, training
 from .adapters import ADAPTER_TYPES, PRESET_NAMES
 from .adapters import preset as adapter_preset
 from .backbone import ModelConfig
-from .errors import (AdapterKitError, CompatibilityError, HubLookupError,
-                     MetadataError, PackageFormatError, TransportError)
+from .errors import (AdapterKitError, CompatibilityError, HubLookupError, MetadataError,
+                     PackageFormatError, RegistryError, TransportError)
 from .manager import AdapterModel
 
 EXIT_OK = 0
@@ -56,10 +56,18 @@ def write_sequences(path, sequences):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _read_text(path, error):
+    """The text of a UTF-8 file; undecodable bytes raise ``error(message)``, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_lines(path, parse, what):
     """``parse(line)`` for each non-blank line of a UTF-8 text file."""
     values = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, PackageFormatError).splitlines(), 1):
         if line.strip():
             try:
                 values.append(parse(line))
@@ -277,8 +285,9 @@ def cmd_index(args):
         if not files:
             raise HubLookupError(f"no metadata cards under {path}")
         for f in files:
+            text = _read_text(f, lambda message: MetadataError([message]))
             try:
-                entries.append(hub.ingest_metadata(f.read_text(encoding="utf-8")))
+                entries.append(hub.ingest_metadata(text))
             except MetadataError as exc:
                 raise MetadataError([f"{f}: {v}" for v in exc.violations]) from None
     text = hub.build_index(entries)
@@ -288,7 +297,7 @@ def cmd_index(args):
 
 
 def cmd_explore(args):
-    entries = hub.parse_index(Path(args.index).read_text(encoding="utf-8"))
+    entries = hub.parse_index(_read_text(args.index, RegistryError))
     if args.type:
         entries = [e for e in entries if e.adapter_type == args.type]
     sys.stdout.write(hub.format_explore_tree(hub.explore_tree(entries)))
@@ -296,7 +305,7 @@ def cmd_explore(args):
 
 
 def cmd_search(args):
-    entries = hub.parse_index(Path(args.index).read_text(encoding="utf-8"))
+    entries = hub.parse_index(_read_text(args.index, RegistryError))
     model_hash = args.model_config_hash
     if args.checkpoint:
         config, _ = package_io.load_backbone_checkpoint(args.checkpoint)
@@ -398,9 +407,6 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 is malformed, not misused
-        _info(f"error: {exc}")
-        return EXIT_VALIDATION
     except (_UsageError, ValueError) as exc:
         _info(f"error: {exc}")
         return EXIT_USAGE

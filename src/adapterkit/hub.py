@@ -84,7 +84,7 @@ def ingest_metadata(source):
     if isinstance(source, str):
         try:
             data = yaml.safe_load(source)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
             raise MetadataError([f"not valid YAML: {exc}"]) from None
     else:
         data = source
@@ -166,7 +166,7 @@ def parse_index(text):
     """Load index JSON back into validated entries."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise RegistryError(f"index is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
         raise RegistryError("not a hub index document")

@@ -261,11 +261,10 @@ class AdapterModel:
                          self._layer_hooks(), collect_traces)
 
     def batch_logits(self, sequences, head=None):
-        """Encode each sequence, pool, and classify with the chosen head."""
+        """Encode the batch in one pass, pool, and classify with the chosen head."""
         head = self.get_head(head)
-        pooled = [self.encode(seq).pooled for seq in sequences]
-        stacked = ad.stack_rows(pooled)
-        return ad.add_bias(ad.matmul(stacked, head.w), head.b)
+        pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks()).pooled
+        return ad.add_bias(ad.matmul(pooled, head.w), head.b)
 
     def predict(self, sequences, head=None):
         """Argmax labels for a batch of token id sequences (no tape needed)."""

@@ -29,11 +29,13 @@ backbone checkpoints keep float64 so training can resume bit-exactly.
 import hashlib
 import io
 import itertools
+import lzma
 import math
 import os
 import struct
 import threading
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -371,23 +373,31 @@ def pack_archive(zip_path, package_path, metadata):
 
 
 def read_archive(zip_path):
-    """Return (package bytes, config text, metadata dict) from an archive."""
-    try:
-        with zipfile.ZipFile(zip_path) as zf:
-            names = set(zf.namelist())
-            missing = {ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA} - names
-            if missing:
-                raise PackageFormatError(f"archive missing entries: {sorted(missing)}")
-            package_bytes = zf.read(ARCHIVE_PACKAGE)
-            config_text = zf.read(ARCHIVE_CONFIG).decode("utf-8")
-            metadata = yaml.safe_load(zf.read(ARCHIVE_METADATA).decode("utf-8"))
-    except zipfile.BadZipFile as exc:
-        raise PackageFormatError(f"not a zip archive: {exc}") from None
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise PackageFormatError(f"unreadable archive member: {exc}") from None
+    """Return (package bytes, config text, metadata dict) from an archive.
+
+    A file that cannot be opened raises ``OSError``; any fault in what it
+    holds raises :class:`PackageFormatError`.
+    """
+    with open(zip_path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                missing = {ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA} - set(zf.namelist())
+                if missing:
+                    raise PackageFormatError(f"archive missing entries: {sorted(missing)}")
+                package_bytes = zf.read(ARCHIVE_PACKAGE)
+                config_text = zf.read(ARCHIVE_CONFIG).decode("utf-8")
+                metadata = yaml.safe_load(zf.read(ARCHIVE_METADATA).decode("utf-8"))
+        except _ARCHIVE_FAULTS as exc:
+            raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
     if not isinstance(metadata, dict):
         raise PackageFormatError("archive metadata must be a mapping")
     return package_bytes, config_text, metadata
+
+
+# what zipfile, its decompressors, the UTF-8 codec and yaml raise on damaged bytes; RuntimeError
+# covers an encryption flag, NotImplementedError (compression method) and RecursionError
+_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError,
+                   zlib.error, lzma.LZMAError, yaml.YAMLError)
 
 
 def verify_package(path):

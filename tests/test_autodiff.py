@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -197,6 +200,24 @@ def test_tapes_nest_independently():
     assert [r.kind for r in inner.records] == ["tanh"]
 
 
+def test_finished_tape_is_freed_without_the_cyclic_gc():
+    rng = np.random.default_rng(24)
+    x = _t(rng, 3, 3, requires_grad=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            z = ad.sum_all(ad.tanh(ad.relu(x)))
+            ad.backward(z)
+        assert z._producer is tape.records[-1]  # records stay listed after the block
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -301,6 +322,51 @@ def test_fd_structural_primitives():
         row = ad.tensor(rng.standard_normal(6))
         _fd(lambda t: ad.sum_all(ad.tanh(ad.stack_rows([t, row]))), row)
         _fd(lambda t: ad.sum_all(ad.tanh(ad.scale(ad.mean_pool_first(t), 1.7))), x)
+
+
+def _np_attention_one(q, k, v, num_heads):
+    d = q.shape[1] // num_heads
+    out = np.zeros_like(q)
+    for h in range(num_heads):
+        cols = slice(h * d, (h + 1) * d)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(d)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        out[:, cols] = e / e.sum(axis=1, keepdims=True) @ v[:, cols]
+    return out
+
+
+def test_attention_keeps_packed_sequences_apart():
+    rng = np.random.default_rng(25)
+    lengths = [3, 1, 5, 2]
+    q, k, v = (_t(rng, sum(lengths), 6) for _ in range(3))
+    ctx, probs = ad.attention(q, k, v, lengths, 3)
+    assert probs.shape == (4, 3, 5, 5)
+    start = 0
+    for b, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        want = _np_attention_one(q.data[rows], k.data[rows], v.data[rows], 3)
+        assert np.allclose(ctx.data[rows], want, atol=1e-14, rtol=0)
+        assert np.all(probs[b, :, :, n:] == 0.0)  # padded keys get no weight
+        start += n
+    for bad in ([3, 1, 5], [3, 1, 5, 3], [0, 4, 5, 2], []):
+        with pytest.raises(ShapeMismatchError):
+            ad.attention(q, k, v, bad, 3)
+    with pytest.raises(ShapeMismatchError):
+        ad.attention(q, k, v, lengths, 4)
+
+
+def test_fd_attention_ragged_lengths():
+    rng = np.random.default_rng(26)
+    lengths = [2, 4, 1]
+    q, k, v = (ad.tensor(rng.standard_normal((7, 4))) for _ in range(3))
+    w = rng.standard_normal((7, 4))  # weights every context row differently
+
+    def loss(q, k, v):
+        return ad.mean_squared_error(ad.attention(q, k, v, lengths, 2)[0], w)
+
+    _fd(lambda t: loss(t, k, v), q)
+    _fd(lambda t: loss(q, t, v), k)
+    _fd(lambda t: loss(q, k, t), v)
 
 
 def test_fd_check_api_contract():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import adapterkit.autodiff as ad
-from adapterkit.adapters import AdapterConfig, init_layer_weights, preset
+from adapterkit.adapters import PRESET_NAMES, AdapterConfig, init_layer_weights, preset
 from adapterkit.backbone import (ModelConfig, apply_layer, count_backbone_params,
-                                 encode, init_backbone)
+                                 encode, encode_batch, init_backbone)
 from adapterkit.errors import ShapeMismatchError
+from adapterkit.manager import AdapterModel
 
 
 def _np_layer_norm(x, gamma, beta, eps):
@@ -124,6 +125,41 @@ def test_encode_validates_inputs(tiny_config):
         encode(tiny_config, weights, [tiny_config.vocab_size])
     with pytest.raises(ShapeMismatchError):
         encode(tiny_config, weights, [-1])
+
+
+def test_encode_batch_validates_inputs(tiny_config):
+    weights = init_backbone(tiny_config, np.random.default_rng(2))
+    too_long = [0] * (tiny_config.max_seq_len + 1)
+    for batch, message in (([], "empty batch"), ([[1, 2], []], "empty token sequence"),
+                           ([[1], too_long], "exceeds max_seq_len"),
+                           ([[1], [2, tiny_config.vocab_size]], f"token id {tiny_config.vocab_size} "),
+                           ([[1, -1]], "token id -1 "), ([[2 ** 70]], f"token id {2 ** 70} ")):
+        with pytest.raises(ShapeMismatchError, match=message):
+            encode_batch(tiny_config, weights, batch)
+
+
+@pytest.mark.parametrize("stack", [[name] for name in PRESET_NAMES] + [["pfeiffer", "houlsby"]])
+def test_batch_rows_match_batch_of_one(desk_config, stack):
+    """No padding leaks: each sequence's rows and logits are its batch-of-one encoding."""
+    rng = np.random.default_rng(9)
+    model = AdapterModel(desk_config, seed=9)
+    model.add_head("cls", 3)
+    model.get_head().w.data = rng.standard_normal(model.get_head().w.shape)
+    for name in stack:
+        model.add_adapter(name, config=name, reduction_factor=4)
+        for key, t in model.get_adapter(name).named_tensors():
+            if key.endswith(("w_up", "b_up")):
+                t.data = 0.1 * rng.standard_normal(t.shape)
+    model.set_active_adapters(stack)
+    lengths = rng.permutation(np.arange(1, desk_config.max_seq_len + 1))
+    seqs = [[int(t) for t in rng.integers(0, desk_config.vocab_size, size=n)] for n in lengths]
+    batch = encode_batch(desk_config, model.weights, seqs, model._layer_hooks())
+    logits = model.batch_logits(seqs).data
+    starts = np.cumsum(lengths) - lengths
+    for seq, start, row in zip(seqs, starts, logits):
+        alone = model.encode(seq)
+        assert np.allclose(batch.hidden.data[start:start + len(seq)], alone.hidden.data, atol=1e-12, rtol=0)
+        assert np.allclose(row, model.batch_logits([seq]).data[0], atol=1e-12, rtol=0)
 
 
 def test_encode_is_deterministic(desk_config):

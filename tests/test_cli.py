@@ -189,7 +189,9 @@ def test_index_rejects_bad_cards_with_file_context(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.yaml" in err and "invalid metadata" in err
     bad.write_bytes(b"adapter_id: caf\xe9\n")  # latin-1, not UTF-8
-    assert main(["index", "--cards", str(bad), "--out", str(tmp_path / "i2.json")]) == 2
+    assert main(["index", "--cards", str(cards), "--out", str(tmp_path / "i2.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid metadata: {bad}: not UTF-8 text" in err
     bad.write_text("1: 2\nfoo: 3\n", encoding="utf-8")  # an int key beside a string key
     assert main(["index", "--cards", str(bad), "--out", str(tmp_path / "i2.json")]) == 2
     assert "unknown field 1" in capsys.readouterr().err
@@ -228,6 +230,7 @@ def test_search_failure_modes(tmp_path, capsys):
     latin1.write_bytes(index.read_bytes().replace(b"sst-2", b"sst-\xe9"))
     assert main(["explore", "--index", str(latin1)]) == 2
     assert main(["search", "--index", str(latin1), "--query", "sst"]) == 2
+    assert capsys.readouterr().err.count(f"{latin1}: not UTF-8 text") == 2
     # the advertised archive does not exist: transport failure
     assert main(["search", "--index", str(index), "--query", "sst",
                  "--model-config-hash", "a" * 64, "--fetch",
@@ -249,7 +252,7 @@ def test_run_rejects_unreadable_archive_metadata(tmp_path, capsys):
     inputs.write_bytes(b"1 2\n\xff\xfe\n")
     assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"),
                  "--package", str(out_dir / "copycat.pkg"), "--inputs", str(inputs)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {inputs}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_run_io_failures(tmp_path, capsys):

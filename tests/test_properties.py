@@ -1,6 +1,8 @@
-"""Property tests: malformed packages and cards fail only in documented ways."""
+"""Property tests: malformed packages, archives, indexes and cards fail only in documented ways."""
 
 import hashlib
+import io
+import zipfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +12,7 @@ from adapterkit import hub
 from adapterkit import package_io as pio
 from adapterkit.backbone import ModelConfig
 from adapterkit.cli import main
-from adapterkit.errors import AdapterKitError, MetadataError
+from adapterkit.errors import AdapterKitError, MetadataError, PackageFormatError, RegistryError
 from adapterkit.manager import AdapterModel
 from conftest import split_package
 
@@ -79,3 +81,90 @@ def test_cards_with_mixed_keys_raise_only_metadata_errors(card):
         hub.ingest_metadata(card)
     except MetadataError:
         pass
+
+
+@pytest.fixture(scope="module")
+def runnable(tmp_path_factory):
+    """A directory with a checkpoint, an archive of a package made for it, and an inputs file."""
+    root = tmp_path_factory.mktemp("archive")
+    model = AdapterModel(_TINY, seed=4)
+    model.add_adapter("probe", config="pfeiffer", reduction_factor=2)
+    model.add_head("head", 2)
+    model.save_adapter("probe", root / "probe.pkg", with_head="head")
+    pio.save_backbone_checkpoint(root / "base.ckpt", _TINY, model.weights)
+    pio.pack_archive(root / "probe.zip", root / "probe.pkg", {"adapter_id": "probe", "tags": [1, 2]})
+    (root / "inputs.txt").write_text("1 2 3\n4\n", encoding="utf-8")
+    return root
+
+
+def _mutate(data, original, positions):
+    """``original`` truncated, or with one byte at one of ``positions`` flipped."""
+    if data.draw(st.integers(0, 3), label="kind") == 0:
+        return original[:data.draw(st.integers(0, len(original) - 1), label="length")]
+    mutated = bytearray(original)
+    mutated[data.draw(st.sampled_from(positions), label="position")] ^= data.draw(
+        st.integers(1, 255), label="xor")
+    return bytes(mutated)
+
+
+def _zip_structure(archive):
+    """Offsets of every byte of a zip file outside its members' stored data."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        stored = set()
+        for info in zf.infolist():
+            start = info.header_offset + 30 + len(info.filename.encode("utf-8")) + len(info.extra)
+            stored.update(range(start, start + info.compress_size))
+    return [i for i in range(len(archive)) if i not in stored]
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_flipped_and_truncated_archives(runnable, tmp_path, data):
+    # the members' own bytes are covered by their CRC and the package tests above
+    archive = (runnable / "probe.zip").read_bytes()
+    path = tmp_path / "mutated.zip"
+    path.write_bytes(_mutate(data, archive, _zip_structure(archive)))
+    try:
+        pio.parse_adapter_package(pio.read_archive(path)[0])
+    except AdapterKitError:
+        accepted = False
+    else:
+        accepted = True
+    assert main(["run", "--checkpoint", str(runnable / "base.ckpt"), "--archive", str(path),
+                 "--inputs", str(runnable / "inputs.txt")]) == (0 if accepted else 2)
+
+
+@pytest.fixture(scope="module")
+def index_text():
+    cards = [dict(adapter_id=f"task-{i}", adapter_type="text_task", level2="sentiment", level3=f"set-{i}",
+                  model_type="mini-bert", model_config_hash="a" * 64, adapter_config_hash="b" * 64,
+                  url=f"file:///tmp/{i}.zip", sha256="c" * 64, reduction_factor=16) for i in range(2)]
+    return hub.build_index([hub.ingest_metadata(card) for card in cards])
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_flipped_truncated_and_nested_indexes(index_text, tmp_path, data):
+    original = index_text.encode("utf-8")
+    mutated = _mutate(data, original, range(len(original)))
+    if data.draw(st.booleans(), label="nest"):
+        mutated = b"[" * data.draw(st.integers(1, 200_000), label="depth") + mutated
+    try:
+        hub.parse_index(mutated.decode("utf-8", "surrogateescape"))
+    except RegistryError:
+        pass
+    path = tmp_path / "mutated.json"
+    path.write_bytes(mutated)
+    assert main(["explore", "--index", str(path)]) in (0, 2)
+
+
+def test_deeply_nested_cards_and_archive_metadata(runnable, tmp_path):
+    with pytest.raises(MetadataError):
+        hub.ingest_metadata("[" * 1_000)
+    nested = tmp_path / "nested.zip"
+    with zipfile.ZipFile(nested, "w") as zf:
+        zf.writestr(pio.ARCHIVE_PACKAGE, (runnable / "probe.pkg").read_bytes())
+        zf.writestr(pio.ARCHIVE_CONFIG, "")
+        zf.writestr(pio.ARCHIVE_METADATA, "[" * 1_000)
+    with pytest.raises(PackageFormatError):
+        pio.read_archive(nested)

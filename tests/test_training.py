@@ -1,3 +1,4 @@
+import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +8,7 @@ from scipy import stats
 
 import adapterkit.autodiff as ad
 import adapterkit.training as tr
+from adapterkit.adapters import PRESET_NAMES
 from adapterkit.errors import GradientError, UnknownAdapterError
 from adapterkit.manager import AdapterModel
 from adapterkit.training import (Adam, ToyTask, TrainConfig, accuracy, evaluate,
@@ -328,3 +330,49 @@ def test_training_fits_copy_task(tiny_config):
     d = res.to_dict()
     assert d["mode"] == "adapter_only" and d["steps"] == 120
     assert d["dev"]["accuracy"] == res.dev_metrics["accuracy"]
+
+
+@pytest.mark.parametrize("mode, preset", [("adapter_only", p) for p in PRESET_NAMES]
+                         + [("full_finetune", None)])
+def test_step_tape_size_does_not_grow_with_the_batch(desk_config, monkeypatch, mode, preset):
+    """The batch is encoded in one pass, so a step's tape holds a few dozen records."""
+    sizes = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        sizes.append(len(loss._tape.records))
+        return backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    seqs, labels = _toy_data(n=16, seq_len=12, vocab=desk_config.vocab_size)
+    for batch_size in (1, 16):
+        model = AdapterModel(desk_config, seed=0)
+        model.add_head("cls", 2)
+        if preset is not None:
+            model.add_adapter("task", config=preset)
+        run_training(model, seqs, labels, TrainConfig(mode=mode, max_steps=1, batch_size=batch_size),
+                     adapter_name="task" if preset is not None else None)
+    assert sizes[0] == sizes[1] <= 64, sizes
+
+
+def test_training_leaves_no_tape_cycles(tiny_config):
+    """Every step's tape, records and activations are freed by reference counting alone."""
+    seqs, labels = _toy_data(n=16)
+    model = AdapterModel(tiny_config, seed=0)
+    model.add_head("cls", 2)
+    model.add_adapter("task", config="houlsby", reduction_factor=2)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_training(model, seqs, labels, TrainConfig(max_steps=3, batch_size=8), adapter_name="task")
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (ad.Tensor, ad.TapeRecord, ad.Tape))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == []
