@@ -115,24 +115,19 @@ def _child_seed(seed_seq):
     return int(seed_seq.generate_state(1)[0])
 
 
-def _load_runtime(checkpoint_path, package_source):
-    """Rebuild a ready-to-run model from a checkpoint and an adapter package.
+def _load_runtime(checkpoint_path, pkg):
+    """Rebuild a ready-to-run model from a checkpoint and a decoded adapter package.
 
     Used by both ``train`` (to report dev metrics at shipped precision) and
     ``run``, so the two always agree bit for bit.
     """
     config, weights = package_io.load_backbone_checkpoint(checkpoint_path)
     model = AdapterModel(config, weights=weights)
-    if isinstance(package_source, (bytes, bytearray)):
-        pkg = package_io.parse_adapter_package(bytes(package_source))
-    else:
-        pkg = package_io.load_adapter_package(package_source)
-    name = model.load_adapter(pkg)
-    model.set_active_adapters([name])
+    model.set_active_adapters([model.load_adapter(pkg)])
     if pkg.head is None:
         raise PackageFormatError(
             f"package {pkg.name!r} has no bundled prediction head; cannot run it standalone")
-    return model, pkg
+    return model
 
 
 def _match_preset(config):
@@ -196,7 +191,7 @@ def cmd_train(args):
         model.save_adapter(args.adapter_name, package_path, with_head=args.task)
         # report dev metrics from the artifacts just written, at their
         # shipped float32 precision, so `run` reproduces the number exactly
-        runtime, _ = _load_runtime(checkpoint_path, package_path)
+        runtime = _load_runtime(checkpoint_path, package_io.load_adapter_package(package_path))
         payload["dev"] = training.evaluate(runtime, dev_seqs, dev_labels)
         payload["artifacts"]["package"] = str(package_path)
         payload["adapter"] = {
@@ -213,10 +208,11 @@ def cmd_train(args):
 def cmd_run(args):
     if (args.package is None) == (args.archive is None):
         raise _UsageError("provide exactly one of --package or --archive")
-    source = args.package
     if args.archive is not None:
-        source, _, _ = package_io.read_archive(args.archive)
-    model, pkg = _load_runtime(args.checkpoint, source)
+        pkg, _ = package_io.read_archive(args.archive)
+    else:
+        pkg = package_io.load_adapter_package(args.package)
+    model = _load_runtime(args.checkpoint, pkg)
     sequences = read_sequences(args.inputs)
     if args.labels is not None:
         labels = read_labels(args.labels)
@@ -422,9 +418,5 @@ def main(argv=None):
         return EXIT_VALIDATION
 
 
-def entry_point():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

@@ -307,8 +307,7 @@ def install_from_hub(model, entries, query, cache_dir=None, rename=None):
     """
     entry = resolve(entries, query, model_config_hash=model.config.config_hash())
     path, downloaded = fetch(entry.url, entry.sha256, cache_dir)
-    package_bytes, _, metadata = package_io.read_archive(path)
-    pkg = package_io.parse_adapter_package(package_bytes)
+    pkg, metadata = package_io.read_archive(path)
     if pkg.model_config_hash != entry.model_config_hash:
         raise RegistryError(
             f"archive for {entry.adapter_id!r} contains model hash "
@@ -317,7 +316,7 @@ def install_from_hub(model, entries, query, cache_dir=None, rename=None):
         raise RegistryError(
             f"archive for {entry.adapter_id!r} contains adapter config hash "
             f"{pkg.adapter_config_hash[:12]}..., index advertises {entry.adapter_config_hash[:12]}...")
-    if isinstance(metadata, dict) and metadata.get("adapter_id") not in (None, entry.adapter_id):
+    if metadata.get("adapter_id") not in (None, entry.adapter_id):
         raise RegistryError(
             f"archive metadata names {metadata.get('adapter_id')!r}, index says {entry.adapter_id!r}")
     name = model.load_adapter(pkg, rename=rename)

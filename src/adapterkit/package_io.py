@@ -29,13 +29,11 @@ backbone checkpoints keep float64 so training can resume bit-exactly.
 import hashlib
 import io
 import itertools
-import lzma
 import math
 import os
 import struct
 import threading
 import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +57,7 @@ _ADAPTER_SECTION = "--adapter-config--"
 ARCHIVE_PACKAGE = "adapter.pkg"
 ARCHIVE_CONFIG = "adapter_config.txt"
 ARCHIVE_METADATA = "metadata.yaml"
+_ARCHIVE_MEMBERS = (ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA)  # in the order written
 
 
 def _atomic_write_bytes(path, data):
@@ -350,54 +349,56 @@ def load_backbone_checkpoint(path):
 # zip archives (package + config text + metadata)
 
 
-def pack_archive(zip_path, package_path, metadata):
-    """Bundle a package file with its config text and metadata into a zip.
-
-    The archive is deterministic: fixed entry order, fixed timestamps,
-    stored (uncompressed) payloads.
-    """
-    package_bytes = Path(package_path).read_bytes()
-    pkg = parse_adapter_package(package_bytes)
-    files = [
-        (ARCHIVE_PACKAGE, package_bytes),
-        (ARCHIVE_CONFIG, pkg.adapter_config.descriptor().encode("utf-8")),
-        (ARCHIVE_METADATA, yaml.safe_dump(metadata, sort_keys=True).encode("utf-8")),
-    ]
+def _archive_bytes(package_bytes, pkg, metadata_bytes):
+    """The bytes :func:`pack_archive` writes: three stored members, fixed order and timestamps."""
+    members = (package_bytes, pkg.adapter_config.descriptor().encode("utf-8"), metadata_bytes)
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        for name, data in files:
+        for name, member in zip(_ARCHIVE_MEMBERS, members):
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, data)
-    _atomic_write_bytes(zip_path, buf.getvalue())
-    return hashlib.sha256(buf.getvalue()).hexdigest()
+            info.create_system = 3  # unix, which zipfile picks everywhere but Windows
+            zf.writestr(info, member)
+    return buf.getvalue()
+
+
+def pack_archive(zip_path, package_path, metadata):
+    """Bundle a package file with its config text and metadata into a zip; returns its sha256."""
+    package_bytes = Path(package_path).read_bytes()
+    data = _archive_bytes(package_bytes, parse_adapter_package(package_bytes),
+                          yaml.safe_dump(metadata, sort_keys=True).encode("utf-8"))
+    _atomic_write_bytes(zip_path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_archive(zip_path):
-    """Return (package bytes, config text, metadata dict) from an archive.
+    """Return (:class:`AdapterPackage`, metadata mapping) from an archive.
 
-    A file that cannot be opened raises ``OSError``; any fault in what it
-    holds raises :class:`PackageFormatError`.
+    The archive is accepted only byte for byte as :func:`pack_archive` writes
+    it for the package and metadata it holds. A file that cannot be opened
+    raises ``OSError``; any other fault raises :class:`PackageFormatError`.
     """
-    with open(zip_path, "rb") as fh:
-        try:
-            with zipfile.ZipFile(fh) as zf:
-                missing = {ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA} - set(zf.namelist())
-                if missing:
-                    raise PackageFormatError(f"archive missing entries: {sorted(missing)}")
-                package_bytes = zf.read(ARCHIVE_PACKAGE)
-                config_text = zf.read(ARCHIVE_CONFIG).decode("utf-8")
-                metadata = yaml.safe_load(zf.read(ARCHIVE_METADATA).decode("utf-8"))
-        except _ARCHIVE_FAULTS as exc:
-            raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
+    data = Path(zip_path).read_bytes()
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            infos = zf.infolist()
+            if (tuple(info.filename for info in infos) != _ARCHIVE_MEMBERS
+                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos)):
+                raise PackageFormatError(f"archive must hold exactly the stored members {_ARCHIVE_MEMBERS}")
+            package_bytes, metadata_bytes = zf.read(ARCHIVE_PACKAGE), zf.read(ARCHIVE_METADATA)
+        pkg = parse_adapter_package(package_bytes)
+        if _archive_bytes(package_bytes, pkg, metadata_bytes) != data:
+            raise PackageFormatError("archive is not in the form pack_archive writes")
+        metadata = yaml.safe_load(metadata_bytes.decode("utf-8"))
+    except _ARCHIVE_FAULTS as exc:
+        raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
     if not isinstance(metadata, dict):
         raise PackageFormatError("archive metadata must be a mapping")
-    return package_bytes, config_text, metadata
+    return pkg, metadata
 
 
-# what zipfile, its decompressors, the UTF-8 codec and yaml raise on damaged bytes; RuntimeError
-# covers an encryption flag, NotImplementedError (compression method) and RecursionError
-_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError,
-                   zlib.error, lzma.LZMAError, yaml.YAMLError)
+# what zipfile, the UTF-8 codec and yaml raise on damaged bytes; RuntimeError covers an
+# encryption flag and RecursionError
+_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError, yaml.YAMLError)
 
 
 def verify_package(path):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
-import zipfile
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,13 +243,12 @@ def test_search_failure_modes(tmp_path, capsys):
 def test_run_rejects_unreadable_archive_metadata(tmp_path, capsys):
     out_dir, _ = _train(tmp_path, capsys, steps="2")
     archive = tmp_path / "bad.zip"
-    with zipfile.ZipFile(archive, "w") as zf:
-        zf.write(out_dir / "copycat.pkg", package_io.ARCHIVE_PACKAGE)
-        zf.writestr(package_io.ARCHIVE_CONFIG, "")
-        zf.writestr(package_io.ARCHIVE_METADATA, "a: [unclosed")
+    data = (out_dir / "copycat.pkg").read_bytes()
+    archive.write_bytes(package_io._archive_bytes(data, package_io.parse_adapter_package(data),
+                                                  b"a: [unclosed"))
     assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"), "--archive", str(archive),
                  "--inputs", str(out_dir / "dev_inputs.txt")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "unreadable archive: ParserError" in capsys.readouterr().err
     inputs = tmp_path / "inputs.txt"
     inputs.write_bytes(b"1 2\n\xff\xfe\n")
     assert main(["run", "--checkpoint", str(out_dir / "backbone.ckpt"),
@@ -268,4 +269,12 @@ def test_console_script_is_wired():
         pytest.skip("console script not on PATH")
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "train" in proc.stdout
+
+
+def test_module_entry_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "adapterkit.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
     assert "train" in proc.stdout

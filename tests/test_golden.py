@@ -67,6 +67,10 @@ ADAPTER_PINS = {
                 "cebd432fed2a66768b5a711b91dcb3ddcadcc13de3c9389d5a1b5ddb98001557",
                 "322d3b92dc71406a954cafa902990f58db3e95025249f0cca48ec9b31b7db990"),
 }
+# pack_archive of a seeded tiny package with a head and ARCHIVE_METADATA; hub
+# indexes publish these digests, so the archive writer must not move a byte
+ARCHIVE_METADATA = {"adapter_id": "a", "tags": [1, 2], "description": "\u00e9"}
+ARCHIVE_SHA256 = "ffeb3b40259ceb3c30851f9ac259fcb4b9e090b3f0622229811a7311cbb3bbb4"
 BASE_DIGEST = "04f2ecf08992b0827eb30ecaf098bf36d263af4d8ac30de1c7b8c1b3a77619f3"
 CHECKPOINT_SHA256 = "03a2c1235b8b9dd22d3ce70a064163980211c2a42670b48dbdf0f23b2666e84c"
 
@@ -97,3 +101,15 @@ def test_seeded_weights_packages_and_checkpoint_are_pinned(tmp_path):
     ckpt = tmp_path / "backbone.ckpt"
     assert package_io.save_backbone_checkpoint(ckpt, model.config, model.weights) == CHECKPOINT_SHA256
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+
+def test_archive_is_pinned(tmp_path):
+    model = AdapterModel(ModelConfig(hidden_size=8, num_layers=1, num_heads=2, ffn_size=16,
+                                     vocab_size=64, max_seq_len=8), seed=0)
+    model.add_adapter("probe", config="pfeiffer", reduction_factor=2)
+    model.add_head("head", 2)
+    pkg = tmp_path / "probe.pkg"
+    model.save_adapter("probe", pkg, with_head="head")
+    archive = tmp_path / "probe.zip"
+    assert package_io.pack_archive(archive, pkg, ARCHIVE_METADATA) == ARCHIVE_SHA256
+    assert package_io.file_sha256(archive) == ARCHIVE_SHA256

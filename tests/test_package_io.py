@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import tracemalloc
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from adapterkit import package_io as pio
 from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
 from adapterkit.backbone import ModelConfig, encode, init_backbone
+from adapterkit.cli import main
 from adapterkit.errors import ChecksumError, PackageFormatError
 from adapterkit.manager import AdapterModel, new_adapter_entry
 from conftest import join_package, negative_size_package, reheader, split_package
@@ -218,30 +220,38 @@ def test_archive_round_trip_and_determinism(tmp_path, tiny_config):
     assert sha_a == sha_b
     assert zip_a.read_bytes() == zip_b.read_bytes()
 
-    package_bytes, config_text, metadata = pio.read_archive(zip_a)
-    assert package_bytes == pkg_path.read_bytes()
-    assert config_text == entry.config.descriptor()
+    pkg, metadata = pio.read_archive(zip_a)
+    assert pkg.file_sha256 == pio.file_sha256(pkg_path)
+    assert pkg.adapter_config == entry.config
     assert metadata == meta
 
 
-def test_read_archive_rejects_bad_inputs(tmp_path):
+def _headed_package(tmp_path, tiny_config, seed):
+    """(path, bytes, decoded package) of an adapter package with a head."""
+    model = AdapterModel(tiny_config, seed=seed)
+    model.add_adapter("probe", reduction_factor=2)
+    model.add_head("cls", 2)
+    path = tmp_path / "probe.pkg"
+    model.save_adapter("probe", path, with_head="cls")
+    return path, path.read_bytes(), pio.load_adapter_package(path)
+
+
+def test_read_archive_rejects_bad_inputs(tmp_path, tiny_config):
     not_zip = tmp_path / "no.zip"
     not_zip.write_bytes(b"definitely not a zip")
     with pytest.raises(PackageFormatError):
         pio.read_archive(not_zip)
-    import zipfile
     partial = tmp_path / "partial.zip"
     with zipfile.ZipFile(partial, "w") as zf:
         zf.writestr("adapter.pkg", b"x")
-    with pytest.raises(PackageFormatError):
+    with pytest.raises(PackageFormatError, match="stored members"):
         pio.read_archive(partial)
-    for config_bytes, metadata in ((b"x=1\n", b"a: [unclosed\n"), (b"\xff\xfe", b"a: 1\n")):
-        bad = tmp_path / "bad.zip"
-        with zipfile.ZipFile(bad, "w") as zf:
-            zf.writestr("adapter.pkg", b"x")
-            zf.writestr("adapter_config.txt", config_bytes)
-            zf.writestr("metadata.yaml", metadata)
-        with pytest.raises(PackageFormatError):
+    _, data, pkg = _headed_package(tmp_path, tiny_config, seed=13)
+    bad = tmp_path / "bad.zip"
+    for metadata, fault in ((b"a: [unclosed\n", "ParserError"), (b"\xff\xfe", "UnicodeDecodeError"),
+                            (b"- 1\n", "must be a mapping")):
+        bad.write_bytes(pio._archive_bytes(data, pkg, metadata))
+        with pytest.raises(PackageFormatError, match=fault):
             pio.read_archive(bad)
 
 
@@ -281,3 +291,60 @@ def test_header_layout_is_bounded_by_the_file(tmp_path, tiny_config):
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, (path.name, peak)
+
+
+def test_archive_reads_are_bounded_and_canonical(tmp_path, tiny_config):
+    """Only the bytes pack_archive writes are read, in memory bounded by the file."""
+    path, data, pkg = _headed_package(tmp_path, tiny_config, seed=17)
+    ckpt = tmp_path / "b.ckpt"
+    pio.save_backbone_checkpoint(ckpt, tiny_config, init_backbone(tiny_config, np.random.default_rng(17)))
+    inputs = tmp_path / "inputs.txt"
+    inputs.write_text("1 2 3\n", encoding="utf-8")
+    good = tmp_path / "good.zip"
+    pio.pack_archive(good, path, {"adapter_id": "probe"})
+    archive = good.read_bytes()
+    metadata = b"adapter_id: probe\n"
+
+    deflated = tmp_path / "deflated.zip"  # a 64 MiB package member that deflates to 64 KB
+    with zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as zf:
+        with zf.open(pio.ARCHIVE_PACKAGE, "w") as member:
+            for _ in range(64):
+                member.write(bytes(2**20))
+        zf.writestr(pio.ARCHIVE_CONFIG, pkg.adapter_config.descriptor())
+        zf.writestr(pio.ARCHIVE_METADATA, metadata)
+    with zipfile.ZipFile(tmp_path / "config.zip", "w") as zf:  # config text contradicts the package
+        for name, member in ((pio.ARCHIVE_PACKAGE, data),
+                             (pio.ARCHIVE_CONFIG, AdapterConfig(reduction_factor=4).descriptor()),
+                             (pio.ARCHIVE_METADATA, metadata)):
+            zf.writestr(zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0)), member)
+    # the package member's compressed and uncompressed sizes in its local header
+    # (offset 18) and in its central directory record (offset 20) claim 900 MiB
+    oversized = bytearray(archive)
+    central = archive.index(b"PK\x01\x02")
+    for at in (18, 22, central + 20, central + 24):
+        oversized[at:at + 4] = (900 * 2**20).to_bytes(4, "little")
+    (tmp_path / "oversized.zip").write_bytes(oversized)
+    for bomb in (deflated, tmp_path / "oversized.zip"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PackageFormatError):
+                pio.read_archive(bomb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, (bomb.name, peak)
+
+    extra = tmp_path / "extra.zip"
+    extra.write_bytes(archive)
+    with zipfile.ZipFile(extra, "a") as zf:
+        zf.writestr("extra.txt", b"x")
+    (tmp_path / "prefix.zip").write_bytes(b"junk" + archive)
+    (tmp_path / "suffix.zip").write_bytes(archive + b"junk")
+    for name in ("deflated", "oversized", "config", "extra", "prefix", "suffix"):
+        bad = tmp_path / f"{name}.zip"
+        with pytest.raises(PackageFormatError):
+            pio.read_archive(bad)
+        assert main(["run", "--checkpoint", str(ckpt), "--archive", str(bad),
+                     "--inputs", str(inputs)]) == 2, name
+    assert main(["run", "--checkpoint", str(ckpt), "--archive", str(good),
+                 "--inputs", str(inputs)]) == 0

@@ -125,7 +125,7 @@ def test_flipped_and_truncated_archives(runnable, tmp_path, data):
     path = tmp_path / "mutated.zip"
     path.write_bytes(_mutate(data, archive, _zip_structure(archive)))
     try:
-        pio.parse_adapter_package(pio.read_archive(path)[0])
+        pio.read_archive(path)
     except AdapterKitError:
         accepted = False
     else:
@@ -159,12 +159,13 @@ def test_flipped_truncated_and_nested_indexes(index_text, tmp_path, data):
 
 
 def test_deeply_nested_cards_and_archive_metadata(runnable, tmp_path):
-    with pytest.raises(MetadataError):
-        hub.ingest_metadata("[" * 1_000)
+    # the pure-Python SafeLoader stops at the recursion limit; libyaml 0.2.5's CSafeLoader
+    # crashes the interpreter on "[" * 40_000, so a switch to it cannot pass here
+    for depth in (1_000, 100_000):
+        with pytest.raises(MetadataError):
+            hub.ingest_metadata("[" * depth)
+    data = (runnable / "probe.pkg").read_bytes()
     nested = tmp_path / "nested.zip"
-    with zipfile.ZipFile(nested, "w") as zf:
-        zf.writestr(pio.ARCHIVE_PACKAGE, (runnable / "probe.pkg").read_bytes())
-        zf.writestr(pio.ARCHIVE_CONFIG, "")
-        zf.writestr(pio.ARCHIVE_METADATA, "[" * 1_000)
-    with pytest.raises(PackageFormatError):
+    nested.write_bytes(pio._archive_bytes(data, pio.parse_adapter_package(data), b"[" * 1_000))
+    with pytest.raises(PackageFormatError, match="RecursionError"):
         pio.read_archive(nested)
