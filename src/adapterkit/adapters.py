@@ -216,13 +216,12 @@ def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):
     x = hidden
     if config.new_ln_before:
         x = ad.layer_norm(x, weights.ln_before_gamma, weights.ln_before_beta, ln_epsilon)
-    x = ad.add_bias(ad.matmul(x, weights.w_down), weights.b_down)
+    x = ad.linear(x, weights.w_down, weights.b_down)
     x = ad.activation(config.non_linearity, x)
-    x = ad.add_bias(ad.matmul(x, weights.w_up), weights.b_up)
-    out = ad.add(residual, x)
+    x = ad.linear(x, weights.w_up, weights.b_up)
     if config.new_ln_after:
-        out = ad.layer_norm(out, weights.ln_after_gamma, weights.ln_after_beta, ln_epsilon)
-    return out
+        return ad.add_norm(residual, x, weights.ln_after_gamma, weights.ln_after_beta, ln_epsilon)
+    return ad.add(residual, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The primitive set is what the batched transformer encoder and the adapter
-training loop need: matrix products, bias adds, four activations, layer
-normalization, embedding lookup, masked multi-head attention over packed
-rows, and two losses. ``scale``, ``softmax_rows``, ``transpose``,
+training loop need: ``linear`` (``x @ w`` plus a bias on every row),
+``add_norm`` (layer normalization of a residual sum), ``layer_norm``,
+``add``, four activations, embedding lookup, masked multi-head attention
+over packed rows, and two losses. ``matmul`` and ``add_bias``, which
+``linear`` fuses, and ``scale``, ``softmax_rows``, ``transpose``,
 ``slice_cols``, ``concat_cols`` and ``stack_rows`` are no longer on the
 encoder's path; they remain, with ``mean_pool_first`` (which ``encode``
 still uses), because the benchmark's tracer wraps them by name.
@@ -11,12 +13,15 @@ still uses), because the benchmark's tracer wraps them by name.
 Gradients are recorded on an explicit :class:`Tape`. A primitive appends a
 record only while a tape is active *and* at least one input is tracked
 (requires gradient, or was itself produced on the active tape), so plain
-inference never pays for bookkeeping. Records are appended in execution
-order, which makes the tape topologically sorted by construction; the
-backward pass is a single reverse sweep that visits each record once, and
-runs inside the tape's ``with`` block. Leaving the block unlinks each record
-from its output, so a finished step is freed by reference counting rather
-than left for the cyclic garbage collector.
+inference never pays for bookkeeping. The record stores which inputs were
+tracked when it was made, and its backward rule ``backward_fn(g, needs)``
+computes a gradient only for those: with a frozen backbone, no weight
+gradient of a frozen matrix, layer norm or bias is ever formed. Records are
+appended in execution order, which makes the tape topologically sorted by
+construction; the backward pass is a single reverse sweep that visits each
+record once, and runs inside the tape's ``with`` block. Leaving the block
+unlinks each record from its output, so a finished step is freed by
+reference counting rather than left for the cyclic garbage collector.
 
 Conventions:
 
@@ -70,17 +75,21 @@ def tensor(data, requires_grad=False):
 
 
 class TapeRecord:
-    """One primitive application: kind, inputs, output, backward rule.
+    """One primitive application: kind, inputs, tracked mask, output, backward rule.
 
-    ``backward_fn(grad_out)`` returns one gradient array (or None) per
-    input; saved intermediates live in the closure.
+    ``needs`` holds one bool per input: whether that input was tracked
+    (required a gradient, or was produced on the same tape) when the record
+    was made. ``backward_fn(grad_out, needs)`` returns one entry per input:
+    a gradient array where ``needs`` is true, and None or an unused array
+    elsewhere. Saved intermediates live in the closure.
     """
 
-    __slots__ = ("kind", "inputs", "output", "backward_fn")
+    __slots__ = ("kind", "inputs", "needs", "output", "backward_fn")
 
-    def __init__(self, kind, inputs, output, backward_fn):
+    def __init__(self, kind, inputs, needs, output, backward_fn):
         self.kind = kind
         self.inputs = inputs
+        self.needs = needs
         self.output = output
         self.backward_fn = backward_fn
 
@@ -129,11 +138,13 @@ def _finish(kind, inputs, out_data, backward_fn):
     out._tape = None
     out._producer = None
     tape = _active_tape()
-    if tape is not None and any(_tracked(t, tape) for t in inputs):
-        rec = TapeRecord(kind, tuple(inputs), out, backward_fn)
-        tape.records.append(rec)
-        out._tape = tape
-        out._producer = rec
+    if tape is not None:
+        needs = tuple(_tracked(t, tape) for t in inputs)
+        if any(needs):
+            rec = TapeRecord(kind, tuple(inputs), needs, out, backward_fn)
+            tape.records.append(rec)
+            out._tape = tape
+            out._producer = rec
     return out
 
 
@@ -155,16 +166,37 @@ def matmul(a, b):
     a_data, b_data = a.data, b.data
     out = a_data @ b_data
 
-    def backward_fn(g):
-        return [g @ b_data.T, a_data.T @ g]
+    def backward_fn(g, needs):
+        return [g @ b_data.T if needs[0] else None, a_data.T @ g if needs[1] else None]
 
     return _finish("matmul", [a, b], out, backward_fn)
+
+
+def linear(x, w, b):
+    """``x @ w`` plus the bias ``b`` on every row, as one record.
+
+    Gives the same bits as ``add_bias(matmul(x, w), b)``.
+    """
+    _require_rank("linear", x, 2)
+    _require_rank("linear", w, 2)
+    _require_rank("linear", b, 1)
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data
+    out += b.data
+
+    def backward_fn(g, needs):
+        return [g @ w_data.T if needs[0] else None, x_data.T @ g if needs[1] else None,
+                g.sum(axis=0) if needs[2] else None]
+
+    return _finish("linear", [x, w, b], out, backward_fn)
 
 
 def transpose(x):
     _require_rank("transpose", x, 2)
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [np.ascontiguousarray(g.T)]
 
     return _finish("transpose", [x], np.ascontiguousarray(x.data.T), backward_fn)
@@ -175,7 +207,7 @@ def add(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"add: {a.shape} + {b.shape}")
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [g, g]
 
     return _finish("add", [a, b], a.data + b.data, backward_fn)
@@ -188,8 +220,8 @@ def add_bias(x, bias):
     if x.shape[1] != bias.shape[0]:
         raise ShapeMismatchError(f"add_bias: {x.shape} + {bias.shape}")
 
-    def backward_fn(g):
-        return [g, g.sum(axis=0)]
+    def backward_fn(g, needs):
+        return [g, g.sum(axis=0) if needs[1] else None]
 
     return _finish("add_bias", [x, bias], x.data + bias.data, backward_fn)
 
@@ -200,7 +232,7 @@ def scale(x, factor):
     if not np.isfinite(factor):
         raise NonFiniteError("scale: factor must be finite")
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [factor * g]
 
     return _finish("scale", [x], factor * x.data, backward_fn)
@@ -209,7 +241,7 @@ def scale(x, factor):
 def relu(x):
     mask = x.data > 0.0
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [g * mask]
 
     return _finish("relu", [x], np.where(mask, x.data, 0.0), backward_fn)
@@ -220,7 +252,7 @@ def gelu(x):
     x_data = x.data
     cdf = 0.5 * (1.0 + erf(x_data * _INV_SQRT2))
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         pdf = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
         return [g * (cdf + x_data * pdf)]
 
@@ -231,7 +263,7 @@ def swish(x):
     x_data = x.data
     sig = 1.0 / (1.0 + np.exp(-x_data))
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [g * (sig + x_data * sig * (1.0 - sig))]
 
     return _finish("swish", [x], x_data * sig, backward_fn)
@@ -240,7 +272,7 @@ def swish(x):
 def tanh(x):
     t = np.tanh(x.data)
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [g * (1.0 - t * t)]
 
     return _finish("tanh", [x], t, backward_fn)
@@ -253,11 +285,52 @@ def softmax_rows(x):
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         dot = (g * y).sum(axis=1, keepdims=True)
         return [y * (g - dot)]
 
     return _finish("softmax_rows", [x], y, backward_fn)
+
+
+def _normalize(kind, x_data, gamma, beta, epsilon):
+    """Layer-norm forward of rank-2 ``x_data``, and its backward rule.
+
+    The rule maps ``(g, (need_x, need_gamma, need_beta))`` to
+    ``[dx, dgamma, dbeta]``, with None for each gradient not needed.
+    """
+    _require_rank(kind, gamma, 1)
+    _require_rank(kind, beta, 1)
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"{kind}: epsilon must be finite and > 0")
+    n = x_data.shape[1]
+    if gamma.shape[0] != n or beta.shape[0] != n:
+        raise ShapeMismatchError(
+            f"{kind}: x {x_data.shape} with gamma {gamma.shape}, beta {beta.shape}"
+        )
+    centered = x_data - x_data.mean(axis=1, keepdims=True)
+    var = (centered * centered).sum(axis=1, keepdims=True) / n  # the bits of np.var
+    live = var >= epsilon
+    inv_std = np.where(live, 1.0 / np.sqrt(var + epsilon), 0.0)
+    x_hat = centered * inv_std  # zero on constant (dead) rows
+    gamma_data = gamma.data
+    out = x_hat * gamma_data + beta.data
+
+    def backward_fn(g, needs):
+        dx = dgamma = dbeta = None
+        if needs[0]:
+            dx_hat = g * gamma_data
+            # per-row: dx = inv_std * (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat))
+            m1 = dx_hat.mean(axis=1, keepdims=True)
+            m2 = (dx_hat * x_hat).mean(axis=1, keepdims=True)
+            dx = inv_std * (dx_hat - m1 - x_hat * m2)
+        if needs[1]:
+            dgamma = (g * x_hat).sum(axis=0)
+        if needs[2]:
+            dbeta = g.sum(axis=0)
+        return [dx, dgamma, dbeta]
+
+    return out, backward_fn
 
 
 def layer_norm(x, gamma, beta, epsilon):
@@ -267,36 +340,25 @@ def layer_norm(x, gamma, beta, epsilon):
     output on such rows is exactly beta.
     """
     _require_rank("layer_norm", x, 2)
-    _require_rank("layer_norm", gamma, 1)
-    _require_rank("layer_norm", beta, 1)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError("layer_norm: epsilon must be finite and > 0")
-    n = x.shape[1]
-    if gamma.shape[0] != n or beta.shape[0] != n:
-        raise ShapeMismatchError(
-            f"layer_norm: x {x.shape} with gamma {gamma.shape}, beta {beta.shape}"
-        )
-    x_data = x.data
-    mean = x_data.mean(axis=1, keepdims=True)
-    var = x_data.var(axis=1, keepdims=True)
-    live = var >= epsilon
-    inv_std = np.where(live, 1.0 / np.sqrt(var + epsilon), 0.0)
-    x_hat = (x_data - mean) * inv_std  # zero on constant (dead) rows
-    out = x_hat * gamma.data + beta.data
-    gamma_data = gamma.data
-
-    def backward_fn(g):
-        dx_hat = g * gamma_data
-        # per-row: dx = inv_std * (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat))
-        m1 = dx_hat.mean(axis=1, keepdims=True)
-        m2 = (dx_hat * x_hat).mean(axis=1, keepdims=True)
-        dx = inv_std * (dx_hat - m1 - x_hat * m2)
-        dgamma = (g * x_hat).sum(axis=0)
-        dbeta = g.sum(axis=0)
-        return [dx, dgamma, dbeta]
-
+    out, backward_fn = _normalize("layer_norm", x.data, gamma, beta, epsilon)
     return _finish("layer_norm", [x, gamma, beta], out, backward_fn)
+
+
+def add_norm(a, b, gamma, beta, epsilon):
+    """``layer_norm(a + b)`` as one record: the post-LN residual step.
+
+    Gives the same bits as ``layer_norm(add(a, b), gamma, beta, epsilon)``.
+    """
+    _require_rank("add_norm", a, 2)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"add_norm: {a.shape} + {b.shape}")
+    out, norm_backward = _normalize("add_norm", a.data + b.data, gamma, beta, epsilon)
+
+    def backward_fn(g, needs):
+        dx, dgamma, dbeta = norm_backward(g, (needs[0] or needs[1], needs[2], needs[3]))
+        return [dx, dx, dgamma, dbeta]
+
+    return _finish("add_norm", [a, b, gamma, beta], out, backward_fn)
 
 
 def embedding_lookup(table, ids):
@@ -311,7 +373,7 @@ def embedding_lookup(table, ids):
         raise ShapeMismatchError(f"embedding_lookup: id {bad} out of range [0, {vocab})")
     n_rows, dim = table.shape
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         dtable = np.zeros((n_rows, dim))
         np.add.at(dtable, idx, g)
         return [dtable]
@@ -324,7 +386,7 @@ def mean_pool_first(x):
     _require_rank("mean_pool_first", x, 2)
     rows, cols = x.shape
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         dx = np.zeros((rows, cols))
         dx[0] = g
         return [dx]
@@ -339,7 +401,7 @@ def slice_cols(x, start, stop):
     if not (0 <= start < stop <= cols):
         raise ShapeMismatchError(f"slice_cols: [{start}:{stop}] out of range for shape {x.shape}")
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         dx = np.zeros((rows, cols))
         dx[:, start:stop] = g
         return [dx]
@@ -362,7 +424,7 @@ def concat_cols(parts):
     widths = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [np.ascontiguousarray(g[:, offsets[i]:offsets[i + 1]]) for i in range(len(widths))]
 
     return _finish("concat_cols", parts, np.concatenate([p.data for p in parts], axis=1), backward_fn)
@@ -379,7 +441,7 @@ def stack_rows(parts):
         if p.shape[0] != width:
             raise ShapeMismatchError(f"stack_rows: lengths differ: {[p.shape for p in parts]}")
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [g[i].copy() for i in range(len(parts))]
 
     return _finish("stack_rows", parts, np.stack([p.data for p in parts]), backward_fn)
@@ -423,7 +485,7 @@ def attention(q, k, v, lengths, num_heads):
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     probs = e / e.sum(axis=3, keepdims=True)
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         g_p = pad(g)
         d_probs = g_p @ v_p.transpose(0, 1, 3, 2)
         d_scores = factor * (probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)))
@@ -437,7 +499,7 @@ def sum_all(x):
     """Sum of all elements, as a scalar (shape ()) tensor."""
     in_shape = x.shape
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [np.full(in_shape, float(g))]
 
     return _finish("sum_all", [x], np.asarray(x.data.sum()), backward_fn)
@@ -457,7 +519,7 @@ def cross_entropy(logits, labels):
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = -log_probs[np.arange(n), y].mean()
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         probs = np.exp(log_probs)
         probs[np.arange(n), y] -= 1.0
         return [float(g) / n * probs]
@@ -472,7 +534,7 @@ def mean_squared_error(pred, target):
         raise ShapeMismatchError(f"mean_squared_error: {pred.shape} vs {t.shape}")
     diff = pred.data - t
 
-    def backward_fn(g):
+    def backward_fn(g, needs):
         return [float(g) * 2.0 / diff.size * diff]
 
     return _finish("mean_squared_error", [pred], np.asarray((diff * diff).mean()), backward_fn)
@@ -511,8 +573,8 @@ def backward(loss):
         g = grads.pop(rec.output, None)
         if g is None:
             continue
-        for t, gi in zip(rec.inputs, rec.backward_fn(g)):
-            if gi is not None and _tracked(t, tape):
+        for t, need, gi in zip(rec.inputs, rec.needs, rec.backward_fn(g, rec.needs)):
+            if need:
                 grads[t] = grads[t] + gi if t in grads else gi
     return grads
 

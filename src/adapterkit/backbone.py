@@ -177,17 +177,17 @@ class EncodeResult:
 
 def _attention(config, lw, x, lengths):
     """Multi-head self-attention sublayer (pre-residual output) and its probabilities."""
-    q = ad.add_bias(ad.matmul(x, lw.w_q), lw.b_q)
-    k = ad.add_bias(ad.matmul(x, lw.w_k), lw.b_k)
-    v = ad.add_bias(ad.matmul(x, lw.w_v), lw.b_v)
+    q = ad.linear(x, lw.w_q, lw.b_q)
+    k = ad.linear(x, lw.w_k, lw.b_k)
+    v = ad.linear(x, lw.w_v, lw.b_v)
     ctx, probs = ad.attention(q, k, v, lengths, config.num_heads)
-    return ad.add_bias(ad.matmul(ctx, lw.w_o), lw.b_o), probs
+    return ad.linear(ctx, lw.w_o, lw.b_o), probs
 
 
 def _ffn(config, lw, x):
     """Feed-forward sublayer (pre-residual output); gelu inner activation."""
-    inner = ad.gelu(ad.add_bias(ad.matmul(x, lw.w_ffn_in), lw.b_ffn_in))
-    return ad.add_bias(ad.matmul(inner, lw.w_ffn_out), lw.b_ffn_out)
+    inner = ad.gelu(ad.linear(x, lw.w_ffn_in, lw.b_ffn_in))
+    return ad.linear(inner, lw.w_ffn_out, lw.b_ffn_out)
 
 
 def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
@@ -201,7 +201,7 @@ def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
     """
 
     def add_and_norm(a, b):
-        return ad.layer_norm(ad.add(a, b), ln_gamma, ln_beta, eps)
+        return ad.add_norm(a, b, ln_gamma, ln_beta, eps)
 
     if not hooks:
         return add_and_norm(x_in, sub_out)
@@ -281,7 +281,7 @@ def encode_batch(config, weights, sequences, layer_hooks=None, collect_traces=Fa
     eps = config.layer_norm_epsilon
     tok = ad.embedding_lookup(weights.token_embeddings, ids)
     pos = ad.embedding_lookup(weights.position_embeddings, np.arange(ids.size) - np.repeat(starts, lengths))
-    x = ad.layer_norm(ad.add(tok, pos), weights.emb_ln_gamma, weights.emb_ln_beta, eps)
+    x = ad.add_norm(tok, pos, weights.emb_ln_gamma, weights.emb_ln_beta, eps)
 
     traces = [] if collect_traces else None
     for i, lw in enumerate(weights.layers):

@@ -146,11 +146,14 @@ def cmd_train(args):
     if args.mode == "adapter_only" and not args.adapter_name:
         raise _UsageError("--adapter-name is required in adapter_only mode")
     config = _model_config(args)
+    root = np.random.SeedSequence(args.seed)
+    data_ss, model_ss, train_ss = root.spawn(3)
+    train_config = training.TrainConfig(
+        mode=args.mode, seed=_child_seed(train_ss), learning_rate=args.lr,
+        batch_size=args.batch_size, max_steps=args.steps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    root = np.random.SeedSequence(args.seed)
-    data_ss, model_ss, train_ss = root.spawn(3)
     task = training.generate_toy_task(args.task, _child_seed(data_ss),
                                       seq_len=args.seq_len, vocab_size=config.vocab_size)
     train_seqs, train_labels, dev_seqs, dev_labels = task.datasets(args.train_size, args.dev_size)
@@ -161,9 +164,6 @@ def cmd_train(args):
         model.add_adapter(args.adapter_name, adapter_type="text_task", config=args.preset,
                           reduction_factor=args.reduction_factor)
 
-    train_config = training.TrainConfig(
-        mode=args.mode, seed=_child_seed(train_ss), learning_rate=args.lr,
-        batch_size=args.batch_size, max_steps=args.steps)
     _info(f"training {args.task} in {args.mode} mode for {args.steps} steps")
     result = training.run_training(
         model, train_seqs, train_labels, train_config,

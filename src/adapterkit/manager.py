@@ -264,7 +264,7 @@ class AdapterModel:
         """Encode the batch in one pass, pool, and classify with the chosen head."""
         head = self.get_head(head)
         pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks()).pooled
-        return ad.add_bias(ad.matmul(pooled, head.w), head.b)
+        return ad.linear(pooled, head.w, head.b)
 
     def predict(self, sequences, head=None):
         """Argmax labels for a batch of token id sequences (no tape needed)."""

@@ -30,8 +30,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if self.learning_rate is not None and not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_steps < 1:

@@ -31,6 +31,20 @@ def test_matmul_shape_mismatch():
         ad.matmul(_t(rng, 2, 3), _t(rng, 4, 2))
 
 
+def test_linear_and_add_norm_shape_mismatch():
+    rng = np.random.default_rng(27)
+    x, w, b = _t(rng, 4, 3), _t(rng, 3, 2), _t(rng, 2)
+    for bad in ((_t(rng, 4), w, b), (x, _t(rng, 3), b), (x, w, _t(rng, 1, 2)),
+                (x, _t(rng, 4, 2), b), (x, w, _t(rng, 3))):
+        with pytest.raises(ShapeMismatchError):
+            ad.linear(*bad)
+    a, g = _t(rng, 4, 3), _t(rng, 3)
+    for bad in ((_t(rng, 3), _t(rng, 3), g, g), (a, _t(rng, 4, 2), g, g), (a, a, _t(rng, 2), g),
+                (a, a, g, _t(rng, 3, 1))):
+        with pytest.raises(ShapeMismatchError):
+            ad.add_norm(*bad, 1e-12)
+
+
 def test_add_bias_broadcasts_rows():
     rng = np.random.default_rng(2)
     x, b = _t(rng, 5, 3), _t(rng, 3)
@@ -136,6 +150,12 @@ def test_non_finite_results_raise():
             ad.matmul(big, big)
     with pytest.raises(NonFiniteError):
         ad.scale(big, float("nan"))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.linear(big, big, ad.tensor(np.zeros(2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.add_norm(big, big, ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), 1e-12)
 
 
 def test_forward_is_deterministic_bitwise():
@@ -252,6 +272,26 @@ def test_backward_only_reports_requires_grad_leaves():
     assert x in grads and w not in grads
 
 
+def test_records_keep_the_tracked_mask_and_skip_frozen_gradients():
+    rng = np.random.default_rng(28)
+    x = _t(rng, 3, 4, requires_grad=True)
+    w, b = _t(rng, 4, 4), _t(rng, 4)  # frozen
+    gamma, beta = _t(rng, 4), _t(rng, 4)  # frozen
+    with ad.Tape() as tape:
+        y = ad.linear(x, w, b)
+        z = ad.add_norm(y, x, gamma, beta, 1e-12)
+        grads = ad.backward(ad.sum_all(z))
+    lin, norm = tape.records[:2]
+    assert (lin.kind, lin.needs) == ("linear", (True, False, False))
+    assert (norm.kind, norm.needs) == ("add_norm", (True, True, False, False))
+    g = np.ones((3, 4))
+    dx, dw, db = lin.backward_fn(g, lin.needs)
+    assert dx.shape == (3, 4) and dw is None and db is None
+    dy, dx, dgamma, dbeta = norm.backward_fn(g, norm.needs)
+    assert dy is dx and dgamma is None and dbeta is None
+    assert set(grads) == {x}
+
+
 def test_matmul_gradients_match_closed_form():
     rng = np.random.default_rng(19)
     a = _t(rng, 3, 4, requires_grad=True)
@@ -289,6 +329,27 @@ def test_fd_matmul_and_bias():
         _fd(lambda t: ad.sum_all(ad.matmul(a, t)), b)
         bias = ad.tensor(rng.standard_normal(5))
         _fd(lambda t: ad.sum_all(ad.tanh(ad.add_bias(a, t))), bias)
+
+
+def test_fd_linear_and_add_norm():
+    rng = np.random.default_rng(29)
+    for trial in range(5):
+        x, w, b = (ad.tensor(rng.standard_normal(s)) for s in ((3, 5), (5, 4), (4,)))
+        _fd(lambda t: ad.sum_all(ad.tanh(ad.linear(t, w, b))), x)
+        _fd(lambda t: ad.sum_all(ad.tanh(ad.linear(x, t, b))), w)
+        _fd(lambda t: ad.sum_all(ad.tanh(ad.linear(x, w, t))), b)
+        a, c = (ad.tensor(rng.standard_normal((4, 6))) for _ in range(2))
+        gamma = ad.tensor(rng.standard_normal(6) + 2.0)
+        beta = ad.tensor(rng.standard_normal(6))
+        target = rng.standard_normal((4, 6))  # weights every output differently
+
+        def loss(a, c, gamma, beta):
+            return ad.mean_squared_error(ad.add_norm(a, c, gamma, beta, 1e-12), target)
+
+        _fd(lambda t: loss(t, c, gamma, beta), a)
+        _fd(lambda t: loss(a, t, gamma, beta), c)
+        _fd(lambda t: loss(a, c, t, beta), gamma)
+        _fd(lambda t: loss(a, c, gamma, t), beta)
 
 
 def test_fd_softmax_layer_norm_and_losses():

@@ -131,6 +131,15 @@ def test_full_finetune_train(tmp_path, capsys):
     assert "accuracy" in payload["dev"]
 
 
+def test_train_rejects_non_finite_learning_rate_before_writing(tmp_path, capsys):
+    for lr in ("nan", "inf"):
+        out_dir = tmp_path / lr
+        assert main(["train", "--task", "copy-first-label", "--adapter-name", "a", "--steps", "1",
+                     "--lr", lr, "--out-dir", str(out_dir), *TINY_FLAGS]) == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_validate_detects_corruption_and_incompatibility(tmp_path, capsys):
     out_dir, _ = _train(tmp_path, capsys, steps="2")
     pkg = out_dir / "copycat.pkg"

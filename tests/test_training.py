@@ -8,7 +8,7 @@ from scipy import stats
 
 import adapterkit.autodiff as ad
 import adapterkit.training as tr
-from adapterkit.adapters import PRESET_NAMES
+from adapterkit.adapters import PRESET_NAMES, AdapterConfig
 from adapterkit.errors import GradientError, UnknownAdapterError
 from adapterkit.manager import AdapterModel
 from adapterkit.training import (Adam, ToyTask, TrainConfig, accuracy, evaluate,
@@ -22,8 +22,9 @@ def test_train_config_validation():
     assert TrainConfig(learning_rate=0.5).resolved_learning_rate() == 0.5
     with pytest.raises(ValueError):
         TrainConfig(mode="lora")
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1e-3)
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
@@ -353,6 +354,34 @@ def test_step_tape_size_does_not_grow_with_the_batch(desk_config, monkeypatch, m
         run_training(model, seqs, labels, TrainConfig(mode=mode, max_steps=1, batch_size=batch_size),
                      adapter_name="task" if preset is not None else None)
     assert sizes[0] == sizes[1] <= 64, sizes
+
+
+def test_fused_primitives_train_bit_identically(desk_config, monkeypatch):
+    """``linear`` and ``add_norm`` give the bits of the primitive pairs they fuse."""
+    seqs, labels = _toy_data(n=32, seq_len=12, vocab=desk_config.vocab_size)
+    setups = [("adapter_only", p) for p in PRESET_NAMES]
+    setups += [("adapter_only", AdapterConfig(new_ln_after=True)), ("full_finetune", None)]
+
+    def train_all():
+        out = []
+        for mode, preset in setups:
+            model = AdapterModel(desk_config, seed=3)
+            model.add_head("cls", 2)
+            if preset is not None:
+                model.add_adapter("task", config=preset, seed=4)
+            res = run_training(model, seqs, labels, TrainConfig(mode=mode, seed=5, max_steps=5),
+                               adapter_name="task" if preset is not None else None)
+            head = model.get_head("cls")
+            out.append((res.losses, model.digest_base(),
+                        model.digest_adapter("task") if preset is not None else None,
+                        head.w.data.tobytes(), head.b.data.tobytes()))
+        return out
+
+    fused = train_all()
+    monkeypatch.setattr(ad, "linear", lambda x, w, b: ad.add_bias(ad.matmul(x, w), b))
+    monkeypatch.setattr(ad, "add_norm",
+                        lambda a, b, gamma, beta, eps: ad.layer_norm(ad.add(a, b), gamma, beta, eps))
+    assert train_all() == fused
 
 
 def test_training_leaves_no_tape_cycles(tiny_config):
