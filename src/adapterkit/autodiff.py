@@ -101,13 +101,12 @@ class Tape:
         self.records = []
 
     def __enter__(self):
-        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
+        self._token = _CURRENT_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _ACTIVE_TAPES.get()
-        assert stack[-1] is self, "tapes must nest"
-        _ACTIVE_TAPES.set(stack[:-1])
+        assert _CURRENT_TAPE.get() is self, "tapes must nest"
+        _CURRENT_TAPE.reset(self._token)  # the enclosing tape, if any, is current again
         # break the record -> output -> record and tensor -> tape -> record cycles
         for rec in self.records:
             rec.output._tape = None
@@ -115,13 +114,8 @@ class Tape:
         return False
 
 
-# each thread (and each asyncio task) records onto its own stack of tapes
-_ACTIVE_TAPES = contextvars.ContextVar("adapterkit_active_tapes", default=())
-
-
-def _active_tape():
-    stack = _ACTIVE_TAPES.get()
-    return stack[-1] if stack else None
+# the tape primitives record onto: each thread (and each asyncio task) has its own
+_CURRENT_TAPE = contextvars.ContextVar("adapterkit_current_tape", default=None)
 
 
 def _tracked(t, tape):
@@ -137,7 +131,7 @@ def _finish(kind, inputs, out_data, backward_fn):
     out.requires_grad = False
     out._tape = None
     out._producer = None
-    tape = _active_tape()
+    tape = _CURRENT_TAPE.get()
     if tape is not None:
         needs = tuple(_tracked(t, tape) for t in inputs)
         if any(needs):

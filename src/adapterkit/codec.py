@@ -5,10 +5,19 @@ field order, with booleans spelled ``true``/``false``; its
 :meth:`~Descriptor.config_hash` is the SHA-256 of that text. Every package
 and hub card carries these hashes, so the text of a config never changes,
 and a descriptor parses only when it is exactly the text its config writes.
+
+Hub cards and archive metadata are YAML from untrusted sources, and
+:func:`load_yaml` is their one parser.
 """
 
 import hashlib
 from dataclasses import fields
+
+import yaml
+
+# PyYAML composes nodes recursively: a hostile "[" * 2000 costs a second of CPU
+# before the interpreter's recursion limit stops it, so stop far earlier
+MAX_YAML_DEPTH = 64
 
 
 def format_value(value):
@@ -65,3 +74,20 @@ class Descriptor:
             raise ValueError(f"not a canonical {cls.__name__} descriptor: "
                              "every field once, in field order, one per line")
         return config
+
+
+class _DepthBoundLoader(yaml.SafeLoader):
+    depth = 0  # nesting of the node being composed; `+=` gives each loader its own count
+
+    def compose_node(self, parent, index):
+        if self.depth == MAX_YAML_DEPTH:
+            raise yaml.YAMLError(f"YAML nested deeper than {MAX_YAML_DEPTH} levels")
+        self.depth += 1
+        node = super().compose_node(parent, index)
+        self.depth -= 1
+        return node
+
+
+def load_yaml(text):
+    """``yaml.safe_load`` that raises ``yaml.YAMLError`` on nesting deeper than MAX_YAML_DEPTH."""
+    return yaml.load(text, Loader=_DepthBoundLoader)

@@ -26,6 +26,7 @@ import yaml
 
 from . import package_io
 from .adapters import ADAPTER_TYPES
+from .codec import load_yaml
 from .errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                      MetadataError, RegistryError, TransportError)
 
@@ -38,6 +39,7 @@ _DOWNLOAD_CHUNK = 1 << 20  # read() allocates its size argument up front, so nev
 
 _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _ID_PATTERN = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
+_URL_SCHEMES = ("file", "http", "https")  # what a card may name and fetch() downloads
 
 
 @dataclass
@@ -83,8 +85,8 @@ def ingest_metadata(source):
     """
     if isinstance(source, str):
         try:
-            data = yaml.safe_load(source)
-        except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
+            data = load_yaml(source)
+        except yaml.YAMLError as exc:
             raise MetadataError([f"not valid YAML: {exc}"]) from None
     else:
         data = source
@@ -131,8 +133,8 @@ def ingest_metadata(source):
             scheme = urlsplit(values["url"]).scheme
         except ValueError as exc:  # e.g. an unclosed IPv6 bracket
             scheme = f"unparsable: {exc}"
-        if scheme not in ("file", "http", "https"):
-            violations.append(f"url scheme {scheme!r} not supported (file, http, https)")
+        if scheme not in _URL_SCHEMES:
+            violations.append(f"url scheme {scheme!r} not supported ({', '.join(_URL_SCHEMES)})")
 
     if violations:
         raise MetadataError(violations)
@@ -262,7 +264,7 @@ def _download(url):
     chunks, size = [], 0
     try:
         scheme = urlsplit(url).scheme
-        if scheme not in ("file", "http", "https"):
+        if scheme not in _URL_SCHEMES:
             raise TransportError(f"unsupported url scheme {scheme!r}")
         with urllib.request.urlopen(url, timeout=DOWNLOAD_TIMEOUT_S) as resp:
             while chunk := resp.read(_DOWNLOAD_CHUNK):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import backbone as bb
+from . import package_io
 from .adapters import (AdapterConfig, AdapterLayerWeights, count_adapter_params,
                        init_layer_weights, point_layout, resolve_config, validate_identity,
                        validate_name)
@@ -36,10 +37,6 @@ class AdapterEntry:
                 for name, t in points[point].named_tensors():
                     yield f"layer{i}.{point}.{name}", t
 
-    def set_requires_grad(self, flag):
-        for _, t in self.named_tensors():
-            t.requires_grad = bool(flag)
-
 
 @dataclass
 class PredictionHead:
@@ -53,10 +50,6 @@ class PredictionHead:
     def named_tensors(self):
         yield "w", self.w
         yield "b", self.b
-
-    def set_requires_grad(self, flag):
-        self.w.requires_grad = bool(flag)
-        self.b.requires_grad = bool(flag)
 
 
 def _digest(named_tensors):
@@ -149,21 +142,27 @@ class AdapterModel:
 
     def add_head(self, name, num_labels):
         """Attach a zero-initialized linear head (stable early training)."""
-        if num_labels < 2:
-            raise ValueError("a prediction head needs at least 2 labels")
         num_labels = int(num_labels)
+        width = max(num_labels, 0)  # a negative count meets install_head's label rule, not numpy's
         return self.install_head(PredictionHead(
-            name, num_labels, ad.tensor(np.zeros((self.config.hidden_size, num_labels))),
-            ad.tensor(np.zeros(num_labels))))
+            name, num_labels, ad.tensor(np.zeros((self.config.hidden_size, width))),
+            ad.tensor(np.zeros(width))))
 
     def install_head(self, head, replace=False):
-        """Register a built head; the first head registered becomes the active one."""
+        """Register a built head; the first head registered becomes the active one.
+
+        A head has at least 2 labels, ``w`` of shape ``(hidden_size, num_labels)``
+        and ``b`` of shape ``(num_labels,)``: the rule a package reader applies.
+        """
         validate_name(head.name)
         if head.name in self._heads and not replace:
             raise ValueError(f"head {head.name!r} already registered")
-        if head.w.shape != (self.config.hidden_size, head.num_labels):
+        if head.num_labels < 2:
+            raise ValueError(f"a prediction head needs at least 2 labels, got {head.num_labels}")
+        if head.w.shape != (self.config.hidden_size, head.num_labels) or head.b.shape != (head.num_labels,):
             raise ShapeMismatchError(
-                f"head weight shape {head.w.shape} does not fit hidden_size {self.config.hidden_size}")
+                f"head shapes {head.w.shape} and {head.b.shape} do not fit hidden_size "
+                f"{self.config.hidden_size} and {head.num_labels} labels")
         self._heads[head.name] = head
         if self.active_head is None:
             self.active_head = head.name
@@ -195,25 +194,23 @@ class AdapterModel:
 
         Also activates the named adapters as the current stack.
         """
-        if isinstance(names, str):
-            names = [names]
+        names = [names] if isinstance(names, str) else list(names)
         self.set_active_adapters(names)
-        for _, t in self.weights.named_tensors():
-            t.requires_grad = False
-        wanted = set(names)
-        for entry in self._adapters.values():
-            entry.set_requires_grad(entry.name in wanted)
-        for head in self._heads.values():
-            head.set_requires_grad(True)
+        self._set_trainable(base=False, adapters=set(names))
 
     def train_full(self):
         """Mark every backbone and head tensor trainable; adapters stay frozen."""
+        self._set_trainable(base=True, adapters=())
+
+    def _set_trainable(self, base, adapters):
+        """Train the backbone if ``base``, the adapters named in ``adapters``, and every head."""
         for _, t in self.weights.named_tensors():
-            t.requires_grad = True
+            t.requires_grad = base
         for entry in self._adapters.values():
-            entry.set_requires_grad(False)
+            for _, t in entry.named_tensors():
+                t.requires_grad = entry.name in adapters
         for head in self._heads.values():
-            head.set_requires_grad(True)
+            head.w.requires_grad = head.b.requires_grad = True
 
     # -- parameter iteration --------------------------------------------------
 
@@ -278,7 +275,6 @@ class AdapterModel:
 
         ``with_head`` names a registered head to bundle for standalone use.
         """
-        from . import package_io
         entry = self.get_adapter(name)
         head = self.get_head(with_head) if with_head is not None else None
         return package_io.save_adapter_package(path, self.config, entry, head)
@@ -290,7 +286,6 @@ class AdapterModel:
         architecture. Any bundled head is registered too (replacing a same-named head).
         Returns the registered adapter name.
         """
-        from . import package_io
         pkg = source
         if not isinstance(pkg, package_io.AdapterPackage):
             pkg = package_io.load_adapter_package(source)

@@ -43,7 +43,7 @@ import yaml
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
-from .codec import read_pairs, read_value, write_pairs
+from .codec import load_yaml, read_pairs, read_value, write_pairs
 from .errors import ChecksumError, PackageFormatError
 
 MAGIC = b"ADPK"
@@ -388,7 +388,7 @@ def read_archive(zip_path):
         pkg = parse_adapter_package(package_bytes)
         if _archive_bytes(package_bytes, pkg, metadata_bytes) != data:
             raise PackageFormatError("archive is not in the form pack_archive writes")
-        metadata = yaml.safe_load(metadata_bytes.decode("utf-8"))
+        metadata = load_yaml(metadata_bytes.decode("utf-8"))
     except _ARCHIVE_FAULTS as exc:
         raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
     if not isinstance(metadata, dict):
@@ -397,7 +397,7 @@ def read_archive(zip_path):
 
 
 # what zipfile, the UTF-8 codec and yaml raise on damaged bytes; RuntimeError covers an
-# encryption flag and RecursionError
+# encryption flag
 _ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError, yaml.YAMLError)
 
 

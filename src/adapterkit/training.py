@@ -191,22 +191,24 @@ def toggle_parity_token(sequence):
 # metrics
 
 
-def accuracy(predicted, gold):
-    p, g = np.asarray(predicted), np.asarray(gold)
-    if p.shape != g.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {g.shape}")
-    if p.size == 0:
+def _score_inputs(a, b, dtype=None):
+    """Both metric inputs as arrays of one non-empty shape."""
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
         raise ValueError("cannot score an empty split")
+    return a, b
+
+
+def accuracy(predicted, gold):
+    p, g = _score_inputs(predicted, gold)
     return float((p == g).mean())
 
 
 def f1_score(predicted, gold):
     """Binary F1 with label 1 as the positive class; empty denominators score 0."""
-    p, g = np.asarray(predicted), np.asarray(gold)
-    if p.shape != g.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {g.shape}")
-    if p.size == 0:
-        raise ValueError("cannot score an empty split")
+    p, g = _score_inputs(predicted, gold)
     tp = int(((p == 1) & (g == 1)).sum())
     fp = int(((p == 1) & (g != 1)).sum())
     fn = int(((p != 1) & (g == 1)).sum())
@@ -217,31 +219,24 @@ def f1_score(predicted, gold):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _average_ranks(values):
-    x = np.asarray(values, dtype=np.float64)
+def _ranks(x):
+    """1-based ranks of a non-empty float array; tied values share their average rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # ties share the average rank
-        i = j + 1
+    xs = x[order]
+    starts_group = np.r_[True, xs[1:] != xs[:-1]]  # NaN never equals, so each NaN ranks alone
+    first = np.flatnonzero(starts_group)
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts_group) - 1]
     return ranks
 
 
 def spearman(a, b):
     """Spearman rank correlation with average ranks for ties; degenerate -> 0."""
-    xa, xb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if xa.shape != xb.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {xb.shape}")
-    if xa.size == 0:
-        raise ValueError("cannot score an empty split")
+    xa, xb = _score_inputs(a, b, np.float64)
     if xa.size < 2:
         return 0.0
-    ra = _average_ranks(xa) - (xa.size + 1) / 2.0
-    rb = _average_ranks(xb) - (xb.size + 1) / 2.0
+    ra, rb = (_ranks(x) - (x.size + 1) / 2.0 for x in (xa, xb))
     denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())
     if denom == 0.0:
         return 0.0
@@ -282,25 +277,15 @@ class TrainResult:
         return out
 
 
-class _Batcher:
-    """Cycle through a dataset in shuffled full batches, reshuffling per epoch."""
-
-    def __init__(self, n, batch_size, rng):
-        if n < 1:
-            raise ValueError("dataset is empty")
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
-
-    def next_indices(self):
-        if self._pos + self.batch_size > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        idx = self._order[self._pos:self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return idx
+def _batches(n, batch_size, rng):
+    """Index arrays of shuffled full batches, without end; reshuffled once too few are left."""
+    batch_size = min(batch_size, n)
+    order, pos = rng.permutation(n), 0
+    while True:
+        if pos + batch_size > n:
+            order, pos = rng.permutation(n), 0
+        yield order[pos:pos + batch_size]
+        pos += batch_size
 
 
 def run_training(model, sequences, labels, config, adapter_name=None,
@@ -316,6 +301,8 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     """
     if len(sequences) != len(labels):
         raise ValueError(f"{len(sequences)} sequences vs {len(labels)} labels")
+    if len(sequences) == 0:
+        raise ValueError("dataset is empty")
     if config.mode == "adapter_only":
         if adapter_name is None:
             names = list(model.active_adapters)
@@ -331,12 +318,11 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     params = [t for _, t, _ in model.named_parameters(trainable_only=True)]
     optimizer = Adam(params, lr=config.resolved_learning_rate())
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    batcher = _Batcher(len(sequences), config.batch_size, rng)
+    batches = _batches(len(sequences), config.batch_size, rng)
     labels_arr = np.asarray(labels, dtype=np.intp)
 
     result = TrainResult(mode=config.mode, steps=config.max_steps)
-    for _ in range(config.max_steps):
-        idx = batcher.next_indices()
+    for _, idx in zip(range(config.max_steps), batches):
         batch_seqs = [sequences[i] for i in idx]
         batch_labels = labels_arr[idx]
         with ad.Tape():

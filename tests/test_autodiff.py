@@ -220,6 +220,20 @@ def test_tapes_nest_independently():
     assert [r.kind for r in inner.records] == ["tanh"]
 
 
+def test_outer_tape_records_again_after_an_inner_tape_raises():
+    rng = np.random.default_rng(17)
+    x = _t(rng, 2, 2, requires_grad=True)
+    with ad.Tape() as outer:
+        with pytest.raises(RuntimeError):
+            with ad.Tape() as inner:
+                ad.tanh(x)
+                raise RuntimeError("step failed")
+        ad.relu(x)
+    assert [r.kind for r in outer.records] == ["relu"]
+    assert [r.kind for r in inner.records] == ["tanh"]
+    assert ad.relu(x)._producer is None  # no tape outside the blocks
+
+
 def test_finished_tape_is_freed_without_the_cyclic_gc():
     rng = np.random.default_rng(24)
     x = _t(rng, 3, 3, requires_grad=True)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -272,17 +273,34 @@ def test_run_io_failures(tmp_path, capsys):
     capsys.readouterr()
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _console_script_target():
+    """(module, function) of the ``adapterkit`` script in pyproject.toml, read without tomllib."""
+    text = (_ROOT / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^adapterkit\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert match, "pyproject.toml declares no adapterkit console script"
+    return match.groups()
+
+
 def test_console_script_is_wired():
     exe = shutil.which("adapterkit")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
+    if exe is not None:
+        cmd, env = [exe, "--help"], None
+    else:  # not installed: call the declared entry point the way the script would
+        module, function = _console_script_target()
+        cmd = [sys.executable, "-c", f"import sys; from {module} import {function}; sys.exit({function}())",
+               "--help"]
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
     assert "train" in proc.stdout
 
 
 def test_module_entry_runs():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "adapterkit.cli", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

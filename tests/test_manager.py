@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import adapterkit.autodiff as ad
+from adapterkit import package_io
 from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
 from adapterkit.errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 from adapterkit.manager import AdapterModel, PredictionHead
@@ -69,6 +70,24 @@ def test_heads_register_and_activate(tiny_model):
             tiny_model.install_head(PredictionHead(name, 2, ad.tensor(np.zeros((h, 2))),
                                                    ad.tensor(np.zeros(2))))
     assert tiny_model.list_heads() == ["cls", "other"]
+
+
+def test_install_head_refuses_heads_no_package_reader_accepts(tiny_model, tmp_path):
+    h = tiny_model.config.hidden_size
+    tiny_model.add_adapter("a", reduction_factor=2)
+    for labels in (1, 0, -1):
+        with pytest.raises(ValueError):
+            tiny_model.add_head("few", labels)
+    bad_bias = PredictionHead("bias", 2, ad.tensor(np.zeros((h, 2))), ad.tensor(np.zeros(3)))
+    with pytest.raises(ShapeMismatchError):
+        tiny_model.install_head(bad_bias)
+    one_label = PredictionHead("one", 1, ad.tensor(np.zeros((h, 1))), ad.tensor(np.zeros(1)))
+    with pytest.raises(ValueError):
+        tiny_model.install_head(one_label)
+    assert tiny_model.list_heads() == []
+    tiny_model.add_head("cls", 2)  # a head that installs also loads back from its package
+    tiny_model.save_adapter("a", tmp_path / "a.pkg", with_head="cls")
+    assert package_io.load_adapter_package(tmp_path / "a.pkg").head[:2] == ("cls", 2)
 
 
 def test_set_active_adapters_validates(tiny_model):

@@ -5,6 +5,7 @@ import io
 import zipfile
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from adapterkit import hub
 from adapterkit import package_io as pio
 from adapterkit.backbone import ModelConfig
 from adapterkit.cli import main
+from adapterkit.codec import MAX_YAML_DEPTH, load_yaml
 from adapterkit.errors import AdapterKitError, MetadataError, PackageFormatError, RegistryError
 from adapterkit.manager import AdapterModel
 from conftest import split_package
@@ -159,13 +161,22 @@ def test_flipped_truncated_and_nested_indexes(index_text, tmp_path, data):
 
 
 def test_deeply_nested_cards_and_archive_metadata(runnable, tmp_path):
-    # the pure-Python SafeLoader stops at the recursion limit; libyaml 0.2.5's CSafeLoader
-    # crashes the interpreter on "[" * 40_000, so a switch to it cannot pass here
+    # the loader stops at MAX_YAML_DEPTH; libyaml 0.2.5's CSafeLoader crashes the
+    # interpreter on "[" * 40_000, so a switch to it cannot pass here
     for depth in (1_000, 100_000):
         with pytest.raises(MetadataError):
             hub.ingest_metadata("[" * depth)
     data = (runnable / "probe.pkg").read_bytes()
     nested = tmp_path / "nested.zip"
     nested.write_bytes(pio._archive_bytes(data, pio.parse_adapter_package(data), b"[" * 1_000))
-    with pytest.raises(PackageFormatError, match="RecursionError"):
+    with pytest.raises(PackageFormatError, match="nested deeper than"):
         pio.read_archive(nested)
+
+
+def test_yaml_depth_bound():
+    deepest = "[" * MAX_YAML_DEPTH + "]" * MAX_YAML_DEPTH
+    assert load_yaml(deepest) == yaml.safe_load(deepest)
+    with pytest.raises(yaml.YAMLError, match="nested deeper than"):
+        load_yaml(f"[{deepest}]")
+    card = "adapter_id: x\nlevel2: {a: [1, {b: c}]}\n"
+    assert load_yaml(card) == yaml.safe_load(card)

@@ -159,6 +159,44 @@ def test_spearman_against_scipy():
         assert spearman(a, b) == pytest.approx(want, abs=1e-12)
 
 
+def _average_ranks_loop(values):
+    """The loop the vectorized ranks replaced, kept as their reference."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # ties share the average rank
+        i = j + 1
+    return ranks
+
+
+def _spearman_loop(a, b):
+    xa, xb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if xa.size < 2:
+        return 0.0
+    ra = _average_ranks_loop(xa) - (xa.size + 1) / 2.0
+    rb = _average_ranks_loop(xb) - (xb.size + 1) / 2.0
+    denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())
+    return 0.0 if denom == 0.0 else float((ra * rb).sum() / denom)
+
+
+def test_ranks_match_the_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        x = rng.integers(-3, 4, size=n).astype(float)  # small range forces ties
+        special = rng.random(n) < 0.3
+        x[special] = rng.choice(specials, size=int(special.sum()))
+        assert np.array_equal(tr._ranks(x), _average_ranks_loop(x))
+        y = rng.permutation(x)
+        assert spearman(x, y) == _spearman_loop(x, y)
+
+
 def test_spearman_conventions():
     assert spearman([1, 2, 3], [10, 20, 30]) == 1.0  # monotone transform
     assert spearman([1, 2, 3], [3, 2, 1]) == -1.0
