@@ -179,6 +179,19 @@ def point_layout(hidden_size, config):
     return layout
 
 
+def qualify(num_layers, config, per_point):
+    """Each layer's and point's ``per_point(i, point)`` (name, value) pairs as ``layer{i}.{point}.{name}``."""
+    for i in range(num_layers):
+        for point in config.insertion_points():
+            yield from ((f"layer{i}.{point}.{name}", value) for name, value in per_point(i, point))
+
+
+def adapter_layout(model_config, config):
+    """Ordered (name, shape) of every adapter tensor, lazily, in ``AdapterEntry.named_tensors`` order."""
+    layout = point_layout(model_config.hidden_size, config)
+    return qualify(model_config.num_layers, config, lambda i, point: layout)
+
+
 def truncated_normal(rng, shape):
     """Normal(0, 0.02) samples redrawn until they land within two std."""
     std = 0.02
@@ -235,5 +248,4 @@ def count_point_params(hidden_size, config):
 
 def count_adapter_params(model_config, config):
     """Total new parameters an adapter of this config adds to the model."""
-    per_layer = len(config.insertion_points()) * count_point_params(model_config.hidden_size, config)
-    return model_config.num_layers * per_layer
+    return sum(int(np.prod(shape)) for _, shape in adapter_layout(model_config, config))

@@ -4,11 +4,12 @@ The primitive set is what the batched transformer encoder and the adapter
 training loop need: ``linear`` (``x @ w`` plus a bias on every row),
 ``add_norm`` (layer normalization of a residual sum), ``layer_norm``,
 ``add``, four activations, embedding lookup, masked multi-head attention
-over packed rows, and two losses. ``matmul`` and ``add_bias``, which
-``linear`` fuses, and ``scale``, ``softmax_rows``, ``transpose``,
-``slice_cols``, ``concat_cols`` and ``stack_rows`` are no longer on the
-encoder's path; they remain, with ``mean_pool_first`` (which ``encode``
-still uses), because the benchmark's tracer wraps them by name.
+over packed rows (context only: the probabilities stay in its backward
+rule), and two losses. ``matmul`` and ``add_bias``, which ``linear`` fuses,
+and ``scale``, ``softmax_rows``, ``transpose``, ``slice_cols``,
+``concat_cols`` and ``stack_rows`` are off the encoder's path; they remain,
+with ``mean_pool_first`` (which ``encode`` uses), because the benchmark's
+tracer wraps them by name.
 
 Gradients are recorded on an explicit :class:`Tape`. A primitive appends a
 record only while a tape is active *and* at least one input is tracked
@@ -448,7 +449,7 @@ def attention(q, k, v, lengths, num_heads):
     to back. Each sequence attends only to its own rows: they are padded by
     index to ``(batch, heads, longest, head_dim)``, and the scores of padded
     keys are set to -inf before the row-max shift. Returns the packed
-    context rows and the ``(batch, heads, longest, longest)`` probabilities.
+    context rows; the probabilities stay inside the backward rule.
     """
     for t in (q, k, v):
         _require_rank("attention", t, 2)
@@ -486,7 +487,7 @@ def attention(q, k, v, lengths, num_heads):
         return [unpad(d_scores @ k_p), unpad(d_scores.transpose(0, 1, 3, 2) @ q_p),
                 unpad(probs.transpose(0, 1, 3, 2) @ g_p)]
 
-    return _finish("attention", [q, k, v], unpad(probs @ v_p), backward_fn), probs
+    return _finish("attention", [q, k, v], unpad(probs @ v_p), backward_fn)
 
 
 def sum_all(x):

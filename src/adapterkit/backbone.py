@@ -12,12 +12,13 @@ step (projections, biases, layer norms, activations, residual adds and all
 adapters) runs on it unchanged and no work is spent on padding. Only
 self-attention needs the sequence boundaries, which it takes as lengths.
 
-The pooled representation is the first position's hidden state; prediction
-heads own any further projection.
+The encoder returns only its final hidden rows and the pooled representation,
+the first position's hidden state; prediction heads own any further projection.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -156,32 +157,19 @@ def count_backbone_params(config):
 
 
 @dataclass
-class LayerTrace:
-    """Hook-point signals of one layer (sequence-by-hidden arrays)."""
-
-    attention_sublayer_output: np.ndarray
-    attention_residual_input: np.ndarray
-    post_attention_hidden: np.ndarray
-    ffn_sublayer_output: np.ndarray
-    ffn_residual_input: np.ndarray
-    post_ffn_hidden: np.ndarray
-    attention_probs: list  # one seq-by-seq array per head
-
-
-@dataclass
 class EncodeResult:
+    """What the encoder returns: its final rows and their pooled first positions."""
+
     hidden: ad.Tensor  # packed rows: total-tokens-by-hidden
     pooled: ad.Tensor  # batch-by-hidden (first positions); a vector from encode
-    layer_traces: list | None = None
 
 
 def _attention(config, lw, x, lengths):
-    """Multi-head self-attention sublayer (pre-residual output) and its probabilities."""
+    """Multi-head self-attention sublayer (pre-residual output)."""
     q = ad.linear(x, lw.w_q, lw.b_q)
     k = ad.linear(x, lw.w_k, lw.b_k)
     v = ad.linear(x, lw.w_v, lw.b_v)
-    ctx, probs = ad.attention(q, k, v, lengths, config.num_heads)
-    return ad.linear(ctx, lw.w_o, lw.b_o), probs
+    return ad.linear(ad.attention(q, k, v, lengths, config.num_heads), lw.w_o, lw.b_o)
 
 
 def _ffn(config, lw, x):
@@ -225,26 +213,14 @@ def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
     return cur
 
 
-def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), trace=None, lengths=None):
-    """One full transformer layer on packed rows; ``lengths`` None means one sequence (as ``trace`` needs)."""
+def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None):
+    """One full transformer layer on packed rows; ``lengths`` None means one sequence."""
     eps = config.layer_norm_epsilon
-    attn_out, probs = _attention(config, lw, x, [x.shape[0]] if lengths is None else lengths)
+    attn_out = _attention(config, lw, x, [x.shape[0]] if lengths is None else lengths)
     attn_hidden = _through_insertion_point(
         x, attn_out, lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
-    ffn_out = _ffn(config, lw, attn_hidden)
-    ffn_hidden = _through_insertion_point(
-        attn_hidden, ffn_out, lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
-    if trace is not None:
-        trace.append(LayerTrace(
-            attention_sublayer_output=attn_out.data,
-            attention_residual_input=x.data,
-            post_attention_hidden=attn_hidden.data,
-            ffn_sublayer_output=ffn_out.data,
-            ffn_residual_input=attn_hidden.data,
-            post_ffn_hidden=ffn_hidden.data,
-            attention_probs=list(probs[0]),
-        ))
-    return ffn_hidden
+    return _through_insertion_point(attn_hidden, _ffn(config, lw, attn_hidden),
+                                    lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
 
 
 def _packed_ids(config, sequences):
@@ -258,17 +234,21 @@ def _packed_ids(config, sequences):
         raise ShapeMismatchError(
             f"encode: sequence length {lengths.max()} exceeds max_seq_len {config.max_seq_len}")
     try:
-        ids = np.fromiter(itertools.chain.from_iterable(sequences), np.intp, int(lengths.sum()))
+        ids = np.fromiter(map(operator.index, itertools.chain.from_iterable(sequences)), np.intp,
+                          int(lengths.sum()))
         valid = ids.min() >= 0 and ids.max() < config.vocab_size
     except OverflowError:
         valid = False
+    except TypeError:
+        bad = next(t for seq in sequences for t in seq if not hasattr(type(t), "__index__"))
+        raise ShapeMismatchError(f"encode: token id {bad!r} is not an integer") from None
     if not valid:
         bad = next(int(t) for seq in sequences for t in seq if not 0 <= int(t) < config.vocab_size)
         raise ShapeMismatchError(f"encode: token id {bad} out of range [0, {config.vocab_size})")
     return ids, lengths
 
 
-def encode_batch(config, weights, sequences, layer_hooks=None, collect_traces=False):
+def encode_batch(config, weights, sequences, layer_hooks=None):
     """Run the encoder over a batch of token id sequences in one pass.
 
     ``layer_hooks``, when given, is a list with one entry per layer:
@@ -283,21 +263,20 @@ def encode_batch(config, weights, sequences, layer_hooks=None, collect_traces=Fa
     pos = ad.embedding_lookup(weights.position_embeddings, np.arange(ids.size) - np.repeat(starts, lengths))
     x = ad.add_norm(tok, pos, weights.emb_ln_gamma, weights.emb_ln_beta, eps)
 
-    traces = [] if collect_traces else None
     for i, lw in enumerate(weights.layers):
         attn_hooks, out_hooks = ((), ())
         if layer_hooks is not None:
             attn_hooks, out_hooks = layer_hooks[i]
-        x = apply_layer(config, lw, x, attn_hooks, out_hooks, traces, lengths)
+        x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths)
 
-    return EncodeResult(hidden=x, pooled=ad.embedding_lookup(x, starts), layer_traces=traces)
+    return EncodeResult(hidden=x, pooled=ad.embedding_lookup(x, starts))
 
 
-def encode(config, weights, token_ids, layer_hooks=None, collect_traces=False):
+def encode(config, weights, token_ids, layer_hooks=None):
     """Run the encoder over one token id sequence: :func:`encode_batch` on a batch of one.
 
     The result's ``pooled`` is the first position's hidden-size vector.
     """
-    result = encode_batch(config, weights, [token_ids], layer_hooks, collect_traces)
+    result = encode_batch(config, weights, [token_ids], layer_hooks)
     result.pooled = ad.mean_pool_first(result.hidden)
     return result

@@ -151,8 +151,6 @@ def cmd_train(args):
     train_config = training.TrainConfig(
         mode=args.mode, seed=_child_seed(train_ss), learning_rate=args.lr,
         batch_size=args.batch_size, max_steps=args.steps)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     task = training.generate_toy_task(args.task, _child_seed(data_ss),
                                       seq_len=args.seq_len, vocab_size=config.vocab_size)
@@ -169,6 +167,8 @@ def cmd_train(args):
         model, train_seqs, train_labels, train_config,
         adapter_name=args.adapter_name if args.mode == "adapter_only" else None)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "backbone.ckpt"
     dev_inputs_path = out_dir / "dev_inputs.txt"
     dev_labels_path = out_dir / "dev_labels.txt"

@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
-from .adapters import (AdapterConfig, AdapterLayerWeights, count_adapter_params,
-                       init_layer_weights, point_layout, resolve_config, validate_identity,
-                       validate_name)
+from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, count_adapter_params,
+                       init_layer_weights, point_layout, qualify, resolve_config,
+                       validate_identity, validate_name)
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
 
@@ -32,10 +32,7 @@ class AdapterEntry:
     trained: bool = False
 
     def named_tensors(self):
-        for i, points in enumerate(self.weights):
-            for point in self.config.insertion_points():
-                for name, t in points[point].named_tensors():
-                    yield f"layer{i}.{point}.{name}", t
+        return qualify(len(self.weights), self.config, lambda i, p: self.weights[i][p].named_tensors())
 
 
 @dataclass
@@ -74,11 +71,11 @@ def new_adapter_entry(model_config, name, adapter_type, config, rng):
 def entry_from_package(pkg, name=None):
     """Reconstruct a registrable adapter from a decoded package."""
     cfg = pkg.adapter_config
-    layout = point_layout(pkg.model_config.hidden_size, cfg)
-    weights = [{point: AdapterLayerWeights(**{n: ad.tensor(pkg.tensors[f"layer{i}.{point}.{n}"])
-                                              for n, _ in layout})
-                for point in cfg.insertion_points()}
-               for i in range(pkg.model_config.num_layers)]
+    names = [n for n, _ in point_layout(pkg.model_config.hidden_size, cfg)]
+    tensors = (ad.tensor(pkg.tensors[n]) for n, _ in adapter_layout(pkg.model_config, cfg))
+    # the layout runs point by point, so each point takes the next len(names) tensors
+    weights = [{point: AdapterLayerWeights(**dict(zip(names, tensors))) for point in cfg.insertion_points()}
+               for _ in range(pkg.model_config.num_layers)]
     return AdapterEntry(name=name or pkg.name, adapter_type=pkg.adapter_type,
                         config=cfg, weights=weights, trained=pkg.trained)
 
@@ -252,10 +249,9 @@ class AdapterModel:
             hooks.append((attn, out))
         return hooks
 
-    def encode(self, token_ids, collect_traces=False):
+    def encode(self, token_ids):
         """Run the encoder with the active adapter stack spliced in."""
-        return bb.encode(self.config, self.weights, token_ids,
-                         self._layer_hooks(), collect_traces)
+        return bb.encode(self.config, self.weights, token_ids, self._layer_hooks())
 
     def batch_logits(self, sequences, head=None):
         """Encode the batch in one pass, pool, and classify with the chosen head."""

@@ -156,7 +156,7 @@ def _declared_layout(fields, model_config, adapter_config):
     """The exact ordered (name, shape) payload a header declares, as an iterator."""
     if adapter_config is None:
         return bb.backbone_layout(model_config)
-    layout = expected_adapter_tensors(model_config, adapter_config)
+    layout = adp.adapter_layout(model_config, adapter_config)
     if "head_name" in fields:
         try:
             num_labels = read_value(int, fields.get("head_num_labels", ""))
@@ -235,15 +235,6 @@ def _read_container(data, kind, dtype):
 # adapter packages
 
 
-def expected_adapter_tensors(model_config, adapter_config):
-    """Ordered (name, shape) pairs an adapter payload must contain exactly, as an iterator."""
-    per_point = adp.point_layout(model_config.hidden_size, adapter_config)
-    return ((f"layer{i}.{point}.{name}", shape)
-            for i in range(model_config.num_layers)
-            for point in adapter_config.insertion_points()
-            for name, shape in per_point)
-
-
 def save_adapter_package(path, model_config, entry, head=None):
     """Write one adapter (optionally with its prediction head) as a package.
 
@@ -260,7 +251,7 @@ def save_adapter_package(path, model_config, entry, head=None):
         "adapter_config_hash": entry.config.config_hash(),
     }
     named = [(name, t.data) for name, t in entry.named_tensors()]
-    if [(n, a.shape) for n, a in named] != list(expected_adapter_tensors(model_config, entry.config)):
+    if [(n, a.shape) for n, a in named] != list(adp.adapter_layout(model_config, entry.config)):
         raise PackageFormatError("adapter tensors do not match the declared configuration")
     if head is not None:
         fields.update(head_name=head.name, head_num_labels=head.num_labels)

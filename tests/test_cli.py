@@ -133,11 +133,17 @@ def test_full_finetune_train(tmp_path, capsys):
 
 
 def test_train_rejects_non_finite_learning_rate_before_writing(tmp_path, capsys):
-    for lr in ("nan", "inf"):
-        out_dir = tmp_path / lr
+    for name, flags, message in (
+            ("nan", ["--lr", "nan"], "learning_rate must be finite"),
+            ("inf", ["--lr", "inf"], "learning_rate must be finite"),
+            ("seq-len", ["--seq-len", "3"], "seq_len must be"),
+            ("train-size", ["--train-size", "3"], "split sizes must be"),
+            ("dev-size", ["--dev-size", "5"], "split sizes must be"),
+            ("reduction-factor", ["--reduction-factor", "0"], "reduction_factor")):
+        out_dir = tmp_path / name
         assert main(["train", "--task", "copy-first-label", "--adapter-name", "a", "--steps", "1",
-                     "--lr", lr, "--out-dir", str(out_dir), *TINY_FLAGS]) == 1
-        assert "learning_rate must be finite" in capsys.readouterr().err
+                     *flags, "--out-dir", str(out_dir), *TINY_FLAGS]) == 1
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adapterkit import package_io as pio
-from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
+from adapterkit.adapters import AdapterConfig, adapter_layout, count_adapter_params, preset
 from adapterkit.backbone import ModelConfig, encode, init_backbone
 from adapterkit.cli import main
 from adapterkit.errors import ChecksumError, PackageFormatError
@@ -135,7 +135,7 @@ def test_expected_tensor_order_matches_entry(tiny_config):
     for config in (preset("pfeiffer", 2), preset("houlsby", 4), preset("bapna", 2)):
         entry = _random_entry(tiny_config, config, seed=7)
         want = [(name, t.data.shape) for name, t in entry.named_tensors()]
-        assert list(pio.expected_adapter_tensors(tiny_config, config)) == want
+        assert list(adapter_layout(tiny_config, config)) == want
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, tiny_config):
