@@ -80,6 +80,7 @@ class AdapterConfig(Descriptor):
     residual_source: str = "adapter_input"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.reduction_factor < 1:
             raise ValueError("reduction_factor must be a positive int")
         if self.non_linearity not in NON_LINEARITIES:
@@ -190,6 +191,13 @@ def adapter_layout(model_config, config):
     """Ordered (name, shape) of every adapter tensor, lazily, in ``AdapterEntry.named_tensors`` order."""
     layout = point_layout(model_config.hidden_size, config)
     return qualify(model_config.num_layers, config, lambda i, point: layout)
+
+
+def head_layout(hidden_size, num_labels):
+    """Ordered (name, shape) of a prediction head's tensors; ``ValueError`` below 2 labels."""
+    if num_labels < 2:
+        raise ValueError(f"a prediction head needs at least 2 labels, got {num_labels}")
+    return [("w", (hidden_size, num_labels)), ("b", (num_labels,))]
 
 
 def truncated_normal(rng, shape):

@@ -500,10 +500,18 @@ def sum_all(x):
     return _finish("sum_all", [x], np.asarray(x.data.sum()), backward_fn)
 
 
+def label_array(labels):
+    """Class labels as an ``intp`` array; :class:`ShapeMismatchError` unless every label is an integer."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biu":
+        raise ShapeMismatchError(f"labels must be integers, got {y.dtype} values")
+    return y.astype(np.intp, copy=False)
+
+
 def cross_entropy(logits, labels):
     """Mean softmax cross-entropy of rank-2 logits against integer labels."""
     _require_rank("cross_entropy", logits, 2)
-    y = np.asarray(labels, dtype=np.intp)
+    y = label_array(labels)
     n, classes = logits.shape
     if y.shape != (n,):
         raise ShapeMismatchError(f"cross_entropy: logits {logits.shape} with labels shape {y.shape}")

@@ -44,6 +44,7 @@ class ModelConfig(Descriptor):
     layer_norm_epsilon: float = 1e-12
 
     def __post_init__(self):
+        super().__post_init__()
         for f in fields(self):
             if f.name in ("model_type",):
                 continue
@@ -225,9 +226,12 @@ def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None
 
 def _packed_ids(config, sequences):
     """Validated token ids of a batch, back to back, and the sequence lengths."""
-    if not len(sequences):
-        raise ShapeMismatchError("encode: empty batch")
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    try:
+        if not len(sequences):
+            raise ShapeMismatchError("encode: empty batch")
+        lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    except TypeError:
+        raise ShapeMismatchError("encode: a batch must be a sequence of token id sequences") from None
     if not lengths.all():
         raise ShapeMismatchError("encode: empty token sequence")
     if lengths.max() > config.max_seq_len:

@@ -230,7 +230,6 @@ def cmd_run(args):
 def cmd_pack(args):
     pkg = package_io.load_adapter_package(args.package)
     zip_path = Path(args.out)
-    url = args.url or zip_path.resolve().as_uri()
     embedded = {
         "adapter_id": args.adapter_id,
         "adapter_type": pkg.adapter_type,
@@ -243,20 +242,17 @@ def cmd_pack(args):
     for key, value in (("description", args.description), ("author", args.author)):
         if value:
             embedded[key] = value
-    archive_sha = package_io.pack_archive(zip_path, args.package, embedded)
-
-    card = dict(embedded)
-    card["url"] = url
-    card["sha256"] = archive_sha
-    matched = _match_preset(pkg.adapter_config)
-    if matched:
-        card["preset"] = matched
-    card["reduction_factor"] = pkg.adapter_config.reduction_factor
-    entry = hub.ingest_metadata(card)  # refuse to emit a card the hub would reject
+    # refuse a card the hub would reject before anything is written; only the archive's
+    # digest needs the archive, and any 64 hex digits stand in for it here
+    card = {**embedded, "url": args.url or zip_path.resolve().as_uri(), "sha256": "0" * 64,
+            "preset": _match_preset(pkg.adapter_config),
+            "reduction_factor": pkg.adapter_config.reduction_factor}
+    entry = hub.ingest_metadata(card)
+    entry.sha256 = package_io.pack_archive(zip_path, args.package, embedded)
     if args.card:
         Path(args.card).write_text(yaml.safe_dump(entry.to_dict(), sort_keys=True),
                                    encoding="utf-8")
-    _emit({"archive": str(zip_path), "sha256": archive_sha, "card": entry.to_dict()})
+    _emit({"archive": str(zip_path), "sha256": entry.sha256, "card": entry.to_dict()})
     return EXIT_OK
 
 

@@ -5,9 +5,11 @@ field order, with booleans spelled ``true``/``false``; its
 :meth:`~Descriptor.config_hash` is the SHA-256 of that text. Every package
 and hub card carries these hashes, so the text of a config never changes,
 and a descriptor parses only when it is exactly the text its config writes.
+A config in turn holds only values that text reads back.
 
 Hub cards and archive metadata are YAML from untrusted sources, and
-:func:`load_yaml` is their one parser.
+:func:`load_yaml` is their one parser; it raises ``yaml.YAMLError`` on any
+text it cannot turn into values.
 """
 
 import hashlib
@@ -54,6 +56,16 @@ def read_pairs(lines):
 class Descriptor:
     """Descriptor text, hash and parser for a frozen config dataclass."""
 
+    def __post_init__(self):
+        """Each field holds exactly its declared type (``bool`` is no ``int``, an ``int`` no
+        ``float``) and a string no line break; any other value raises ``ValueError``."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not f.type:
+                raise ValueError(f"{f.name} must be a {f.type.__name__}, got {value!r}")
+            if isinstance(value, str) and "".join(value.splitlines()) != value:
+                raise ValueError(f"{f.name} may not contain a line break, got {value!r}")
+
     def descriptor(self):
         """Canonical flat key=value text; its hash identifies the architecture."""
         return write_pairs((f.name, getattr(self, f.name)) for f in fields(self))
@@ -89,5 +101,8 @@ class _DepthBoundLoader(yaml.SafeLoader):
 
 
 def load_yaml(text):
-    """``yaml.safe_load`` that raises ``yaml.YAMLError`` on nesting deeper than MAX_YAML_DEPTH."""
-    return yaml.load(text, Loader=_DepthBoundLoader)
+    """``yaml.safe_load`` that raises only ``yaml.YAMLError``, also on nesting deeper than MAX_YAML_DEPTH."""
+    try:
+        return yaml.load(text, Loader=_DepthBoundLoader)
+    except (ValueError, LookupError, AttributeError) as exc:  # a value yaml cannot build: 2001-13-45
+        raise yaml.YAMLError(f"{type(exc).__name__}: {exc}") from None

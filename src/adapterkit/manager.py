@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
 from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, count_adapter_params,
-                       init_layer_weights, point_layout, qualify, resolve_config,
+                       head_layout, init_layer_weights, point_layout, qualify, resolve_config,
                        validate_identity, validate_name)
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
@@ -140,26 +140,22 @@ class AdapterModel:
     def add_head(self, name, num_labels):
         """Attach a zero-initialized linear head (stable early training)."""
         num_labels = int(num_labels)
-        width = max(num_labels, 0)  # a negative count meets install_head's label rule, not numpy's
-        return self.install_head(PredictionHead(
-            name, num_labels, ad.tensor(np.zeros((self.config.hidden_size, width))),
-            ad.tensor(np.zeros(width))))
+        w, b = (ad.tensor(np.zeros(shape)) for _, shape in head_layout(self.config.hidden_size, num_labels))
+        return self.install_head(PredictionHead(name, num_labels, w, b))
 
     def install_head(self, head, replace=False):
         """Register a built head; the first head registered becomes the active one.
 
-        A head has at least 2 labels, ``w`` of shape ``(hidden_size, num_labels)``
-        and ``b`` of shape ``(num_labels,)``: the rule a package reader applies.
+        Its tensors must have the shapes :func:`~adapterkit.adapters.head_layout`
+        gives for this model: the rule a package reader applies.
         """
         validate_name(head.name)
         if head.name in self._heads and not replace:
             raise ValueError(f"head {head.name!r} already registered")
-        if head.num_labels < 2:
-            raise ValueError(f"a prediction head needs at least 2 labels, got {head.num_labels}")
-        if head.w.shape != (self.config.hidden_size, head.num_labels) or head.b.shape != (head.num_labels,):
-            raise ShapeMismatchError(
-                f"head shapes {head.w.shape} and {head.b.shape} do not fit hidden_size "
-                f"{self.config.hidden_size} and {head.num_labels} labels")
+        shapes = [(name, t.shape) for name, t in head.named_tensors()]
+        if shapes != head_layout(self.config.hidden_size, head.num_labels):
+            raise ShapeMismatchError(f"head shapes {shapes} do not fit hidden_size "
+                                     f"{self.config.hidden_size} and {head.num_labels} labels")
         self._heads[head.name] = head
         if self.active_head is None:
             self.active_head = head.name
@@ -178,8 +174,8 @@ class AdapterModel:
     # -- activation and training modes --------------------------------------
 
     def set_active_adapters(self, names):
-        """Choose the ordered adapter stack used by :meth:`encode` (may be empty)."""
-        names = list(names)
+        """Choose the ordered adapter stack for :meth:`encode` (may be empty; one name is a stack of one)."""
+        names = [names] if isinstance(names, str) else list(names)
         for n in names:
             self.get_adapter(n)
         if len(set(names)) != len(names):
@@ -191,9 +187,8 @@ class AdapterModel:
 
         Also activates the named adapters as the current stack.
         """
-        names = [names] if isinstance(names, str) else list(names)
         self.set_active_adapters(names)
-        self._set_trainable(base=False, adapters=set(names))
+        self._set_trainable(base=False, adapters=set(self.active_adapters))
 
     def train_full(self):
         """Mark every backbone and head tensor trainable; adapters stay frozen."""
@@ -211,19 +206,16 @@ class AdapterModel:
 
     # -- parameter iteration --------------------------------------------------
 
-    def named_parameters(self, trainable_only=False):
+    def named_parameters(self):
         """Yield (qualified name, tensor, owner) with owner base/adapter/head."""
         for name, t in self.weights.named_tensors():
-            if not trainable_only or t.requires_grad:
-                yield f"base.{name}", t, "base"
+            yield f"base.{name}", t, "base"
         for entry in self._adapters.values():
             for name, t in entry.named_tensors():
-                if not trainable_only or t.requires_grad:
-                    yield f"adapter.{entry.name}.{name}", t, "adapter"
+                yield f"adapter.{entry.name}.{name}", t, "adapter"
         for head in self._heads.values():
             for name, t in head.named_tensors():
-                if not trainable_only or t.requires_grad:
-                    yield f"head.{head.name}.{name}", t, "head"
+                yield f"head.{head.name}.{name}", t, "head"
 
     def digest_base(self):
         """Order-sensitive sha256 over every backbone tensor's bytes."""
@@ -237,17 +229,10 @@ class AdapterModel:
     def _layer_hooks(self):
         if not self.active_adapters:
             return None
-        hooks = []
-        for i in range(self.config.num_layers):
-            attn, out = [], []
-            for name in self.active_adapters:
-                entry = self._adapters[name]
-                if entry.config.mh_adapter:
-                    attn.append((entry.weights[i]["attention"], entry.config))
-                if entry.config.output_adapter:
-                    out.append((entry.weights[i]["output"], entry.config))
-            hooks.append((attn, out))
-        return hooks
+        entries = [self._adapters[name] for name in self.active_adapters]
+        return [[[(e.weights[i][point], e.config) for e in entries if point in e.weights[i]]
+                 for point in ("attention", "output")]
+                for i in range(self.config.num_layers)]
 
     def encode(self, token_ids):
         """Run the encoder with the active adapter stack spliced in."""

@@ -22,6 +22,11 @@ written for the declared layout, and rejects any other text, so no size
 or offset in a file is ever trusted. Any single flipped byte in the file
 is caught by the trailing digest or by a per-tensor digest.
 
+The writers hold themselves to the same rules: each renders its header, reads
+it back as a reader would, and writes only the tensors of exactly the layout
+that header declares, so a file is refused when it is written, never first
+when it is read. The archive writer likewise reads its rendered metadata back.
+
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
 """
@@ -106,12 +111,17 @@ def _manifest_text(layout, dtype, digests):
     return "".join(lines), sizes
 
 
-def _write_container(path, fields, model_config, adapter_config, named_arrays, dtype):
-    """Write one container atomically; returns the sha256 hex digest of the file."""
+def _write_container(path, fields, model_config, adapter_config, named_arrays):
+    """Write one container atomically, only if ``named_arrays`` are exactly the (name, shape)
+    layout its header, read back, declares; returns the sha256 hex digest of the file."""
+    kind, dtype = fields["kind"], fields["dtype"]
+    header = _header_text(fields, model_config, adapter_config)
+    layout = list(_declared_layout(*_read_header(header, kind, dtype)))
+    if [(name, arr.shape) for name, arr in named_arrays] != layout:
+        raise PackageFormatError(f"{kind} tensors do not match the layout their header declares")
     raws = [np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes() for _, arr in named_arrays]
-    manifest, _ = _manifest_text([(name, arr.shape) for name, arr in named_arrays], dtype,
-                                 [hashlib.sha256(raw).hexdigest() for raw in raws])
-    hb = _header_text(fields, model_config, adapter_config).encode("utf-8")
+    manifest, _ = _manifest_text(layout, dtype, [hashlib.sha256(raw).hexdigest() for raw in raws])
+    hb = header.encode("utf-8")
     mb = manifest.encode("utf-8")
     body = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hb)), hb,
                      struct.pack("<Q", len(mb)), mb, *raws])
@@ -160,12 +170,10 @@ def _declared_layout(fields, model_config, adapter_config):
     if "head_name" in fields:
         try:
             num_labels = read_value(int, fields.get("head_num_labels", ""))
+            head = adp.head_layout(model_config.hidden_size, num_labels)
         except ValueError as exc:
-            raise PackageFormatError(f"bad package header: {exc}") from None
-        if num_labels < 2:
-            raise PackageFormatError(f"head_num_labels must be at least 2, got {num_labels}")
-        layout = itertools.chain(layout, [("head.w", (model_config.hidden_size, num_labels)),
-                                          ("head.b", (num_labels,))])
+            raise PackageFormatError(f"bad package header: head_num_labels: {exc}") from None
+        layout = itertools.chain(layout, ((f"head.{name}", shape) for name, shape in head))
     return layout
 
 
@@ -251,12 +259,10 @@ def save_adapter_package(path, model_config, entry, head=None):
         "adapter_config_hash": entry.config.config_hash(),
     }
     named = [(name, t.data) for name, t in entry.named_tensors()]
-    if [(n, a.shape) for n, a in named] != list(adp.adapter_layout(model_config, entry.config)):
-        raise PackageFormatError("adapter tensors do not match the declared configuration")
     if head is not None:
         fields.update(head_name=head.name, head_num_labels=head.num_labels)
-        named += [("head.w", head.w.data), ("head.b", head.b.data)]
-    return _write_container(path, fields, model_config, entry.config, named, "f32")
+        named += [(f"head.{name}", t.data) for name, t in head.named_tensors()]
+    return _write_container(path, fields, model_config, entry.config, named)
 
 
 @dataclass
@@ -327,7 +333,7 @@ def save_backbone_checkpoint(path, model_config, weights):
         "model_config_hash": model_config.config_hash(),
     }
     named = [(name, t.data) for name, t in weights.named_tensors()]
-    return _write_container(path, fields, model_config, None, named, "f64")
+    return _write_container(path, fields, model_config, None, named)
 
 
 def load_backbone_checkpoint(path):
@@ -352,11 +358,30 @@ def _archive_bytes(package_bytes, pkg, metadata_bytes):
     return buf.getvalue()
 
 
+def _read_metadata(metadata_bytes):
+    """Archive metadata bytes -> mapping, as both the archive reader and writer check it."""
+    try:
+        metadata = load_yaml(metadata_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise PackageFormatError("archive metadata must be a mapping")
+    return metadata
+
+
 def pack_archive(zip_path, package_path, metadata):
-    """Bundle a package file with its config text and metadata into a zip; returns its sha256."""
+    """Bundle a package file with its config text and metadata into a zip; returns its sha256.
+
+    Metadata that :func:`read_archive` would refuse raises :class:`PackageFormatError`
+    before anything is written.
+    """
     package_bytes = Path(package_path).read_bytes()
-    data = _archive_bytes(package_bytes, parse_adapter_package(package_bytes),
-                          yaml.safe_dump(metadata, sort_keys=True).encode("utf-8"))
+    try:
+        metadata_bytes = yaml.safe_dump(metadata, sort_keys=True).encode("utf-8")
+    except yaml.YAMLError as exc:  # a value with no safe YAML form, such as a numpy scalar
+        raise PackageFormatError(f"archive metadata has no YAML form: {exc}") from None
+    _read_metadata(metadata_bytes)
+    data = _archive_bytes(package_bytes, parse_adapter_package(package_bytes), metadata_bytes)
     _atomic_write_bytes(zip_path, data)
     return hashlib.sha256(data).hexdigest()
 
@@ -379,17 +404,13 @@ def read_archive(zip_path):
         pkg = parse_adapter_package(package_bytes)
         if _archive_bytes(package_bytes, pkg, metadata_bytes) != data:
             raise PackageFormatError("archive is not in the form pack_archive writes")
-        metadata = load_yaml(metadata_bytes.decode("utf-8"))
     except _ARCHIVE_FAULTS as exc:
         raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
-    if not isinstance(metadata, dict):
-        raise PackageFormatError("archive metadata must be a mapping")
-    return pkg, metadata
+    return pkg, _read_metadata(metadata_bytes)
 
 
-# what zipfile, the UTF-8 codec and yaml raise on damaged bytes; RuntimeError covers an
-# encryption flag
-_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError, yaml.YAMLError)
+# what zipfile raises on damaged bytes; RuntimeError covers an encryption flag
+_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError)
 
 
 def verify_package(path):

@@ -303,23 +303,20 @@ def run_training(model, sequences, labels, config, adapter_name=None,
         raise ValueError(f"{len(sequences)} sequences vs {len(labels)} labels")
     if len(sequences) == 0:
         raise ValueError("dataset is empty")
+    labels_arr = ad.label_array(labels)
     if config.mode == "adapter_only":
-        if adapter_name is None:
-            names = list(model.active_adapters)
-            if not names:
-                raise ValueError("adapter_only mode needs adapter_name or an active stack")
-        else:
-            names = [adapter_name] if isinstance(adapter_name, str) else list(adapter_name)
-        model.train_adapter(names)
+        if adapter_name is None and not model.active_adapters:
+            raise ValueError("adapter_only mode needs adapter_name or an active stack")
+        model.train_adapter(model.active_adapters if adapter_name is None else adapter_name)
+        names = model.active_adapters
     else:
         names = []
         model.train_full()
 
-    params = [t for _, t, _ in model.named_parameters(trainable_only=True)]
+    params = [t for _, t, _ in model.named_parameters() if t.requires_grad]
     optimizer = Adam(params, lr=config.resolved_learning_rate())
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     batches = _batches(len(sequences), config.batch_size, rng)
-    labels_arr = np.asarray(labels, dtype=np.intp)
 
     result = TrainResult(mode=config.mode, steps=config.max_steps)
     for _, idx in zip(range(config.max_steps), batches):

@@ -34,6 +34,10 @@ def test_config_validation():
         AdapterConfig(adapter_input="both")
     with pytest.raises(ValueError):
         AdapterConfig(residual_source="nowhere")
+    for bad in (dict(mh_adapter=1), dict(reduction_factor=True), dict(reduction_factor=2.0),
+                dict(new_ln_after=None)):
+        with pytest.raises(ValueError):
+            AdapterConfig(**bad)
 
 
 def test_descriptor_round_trips_and_hash_is_stable():

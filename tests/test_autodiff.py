@@ -141,6 +141,9 @@ def test_cross_entropy_rejects_bad_labels():
     logits = _t(rng, 4, 3)
     with pytest.raises(ShapeMismatchError):
         ad.cross_entropy(logits, [0, 1, 2, 3])
+    for labels in ([0.7, 1.2, 0, 1], ["0", "1", "0", "1"], [0, 1, None, 2]):
+        with pytest.raises(ShapeMismatchError, match="labels must be integers"):
+            ad.cross_entropy(logits, labels)
 
 
 def test_non_finite_results_raise():

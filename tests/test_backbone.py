@@ -62,6 +62,11 @@ def test_model_config_validation():
             ModelConfig(layer_norm_epsilon=bad)
     with pytest.raises(ValueError):
         ModelConfig.parse(ModelConfig().descriptor().replace("=1e-12", "=nan"))
+    # only values the descriptor reads back: no bool for an int, no int for a float, no line break
+    for bad in (dict(hidden_size=64.0), dict(num_heads=True), dict(layer_norm_epsilon=1),
+                dict(model_type="a\nb"), dict(model_type="a\rb"), dict(model_type=None)):
+        with pytest.raises(ValueError):
+            ModelConfig(**bad)
 
 
 def test_model_descriptor_round_trip_and_hash():
@@ -137,7 +142,10 @@ def test_encode_batch_validates_inputs(tiny_config):
                            ([[1.5]], "token id 1.5 is not an integer"),
                            ([[1], ["3"]], "token id '3' is not an integer"),
                            ([[None]], "token id None is not an integer"),
-                           ([[2, np.float64(2.0)]], "is not an integer")):
+                           ([[2, np.float64(2.0)]], "is not an integer"),
+                           ([5], "sequence of token id sequences"),
+                           ([[1], None], "sequence of token id sequences"),
+                           (5, "sequence of token id sequences")):
         with pytest.raises(ShapeMismatchError, match=message):
             encode_batch(tiny_config, weights, batch)
 

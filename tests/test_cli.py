@@ -13,6 +13,7 @@ import pytest
 from adapterkit import package_io
 from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import main, read_labels, read_sequences, write_labels, write_sequences
+from adapterkit.manager import AdapterModel
 from conftest import negative_size_package, reheader
 
 TINY_FLAGS = ["--hidden-size", "8", "--layers", "1", "--heads", "2",
@@ -254,6 +255,21 @@ def test_search_failure_modes(tmp_path, capsys):
                  "--model-config-hash", "a" * 64, "--fetch",
                  "--cache-dir", str(tmp_path / "cache")]) == 3
     capsys.readouterr()
+
+
+def test_pack_refuses_a_card_before_writing(tmp_path, capsys, tiny_config):
+    model = AdapterModel(tiny_config, seed=1)
+    model.add_adapter("probe", reduction_factor=2)
+    pkg = tmp_path / "probe.pkg"
+    model.save_adapter("probe", pkg)
+    out = tmp_path / "probe.zip"
+    out.write_bytes(b"kept")  # a refused card leaves --out as it was
+    for flags, fault in ((["--adapter-id", "Bad ID"], "adapter_id"),
+                         (["--adapter-id", "probe", "--url", "ftp://x/y.zip"], "url scheme")):
+        assert main(["pack", "--package", str(pkg), "--out", str(out), "--level2", "toy",
+                     "--level3", "probe", *flags]) == 2
+        assert fault in capsys.readouterr().err
+        assert out.read_bytes() == b"kept"
 
 
 def test_run_rejects_unreadable_archive_metadata(tmp_path, capsys):

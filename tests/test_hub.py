@@ -76,6 +76,9 @@ def test_ingest_rejects_non_mapping_and_bad_types():
         hub.ingest_metadata(_card(reduction_factor=0))
     with pytest.raises(MetadataError):
         hub.ingest_metadata(_card(model_config_hash="A" * 64))  # uppercase hex
+    for card in ("adapter_id: 2001-13-45\n", "adapter_id: !!int ''\n"):  # yaml builds no value
+        with pytest.raises(MetadataError, match="not valid YAML"):
+            hub.ingest_metadata(card)
     with pytest.raises(MetadataError, match="url"):
         hub.ingest_metadata(_card(url="http://["))  # urlsplit raises ValueError
     with pytest.raises(MetadataError) as err:

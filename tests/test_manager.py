@@ -103,6 +103,17 @@ def test_set_active_adapters_validates(tiny_model):
     assert tiny_model.active_adapters == []
 
 
+def test_one_name_is_a_stack_of_one(tiny_model):
+    for name in ("a", "b", "ab"):
+        tiny_model.add_adapter(name, reduction_factor=2)
+    tiny_model.set_active_adapters("ab")
+    assert tiny_model.active_adapters == ["ab"]
+    tiny_model.train_adapter("ab")
+    assert tiny_model.active_adapters == ["ab"]
+    assert {name for name in tiny_model.list_adapters()
+            if all(t.requires_grad for _, t in tiny_model.get_adapter(name).named_tensors())} == {"ab"}
+
+
 def test_train_adapter_freezes_base_marks_adapter(tiny_model):
     tiny_model.add_adapter("a", reduction_factor=2)
     tiny_model.add_adapter("b", reduction_factor=2)
@@ -114,7 +125,7 @@ def test_train_adapter_freezes_base_marks_adapter(tiny_model):
         owners.setdefault((owner, t.requires_grad), []).append(name)
     assert ("base", True) not in owners          # every base tensor frozen
     assert ("head", False) not in owners         # every head tensor trainable
-    for name, t, owner in tiny_model.named_parameters(trainable_only=True):
+    for name, t, owner in (p for p in tiny_model.named_parameters() if p[1].requires_grad):
         assert owner in ("adapter", "head")
         if owner == "adapter":
             assert name.startswith("adapter.a.")  # b stays frozen
@@ -124,7 +135,7 @@ def test_train_full_marks_base_and_heads(tiny_model):
     tiny_model.add_adapter("a", reduction_factor=2)
     tiny_model.add_head("cls", 2)
     tiny_model.train_full()
-    trainable_owners = {owner for _, t, owner in tiny_model.named_parameters(trainable_only=True)}
+    trainable_owners = {owner for _, t, owner in tiny_model.named_parameters() if t.requires_grad}
     assert trainable_owners == {"base", "head"}
 
 

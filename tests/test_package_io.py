@@ -11,6 +11,7 @@ from adapterkit import package_io as pio
 from adapterkit.adapters import AdapterConfig, adapter_layout, count_adapter_params, preset
 from adapterkit.backbone import ModelConfig, encode, init_backbone
 from adapterkit.cli import main
+from adapterkit.codec import MAX_YAML_DEPTH
 from adapterkit.errors import ChecksumError, PackageFormatError
 from adapterkit.manager import AdapterModel, new_adapter_entry
 from conftest import join_package, negative_size_package, reheader, split_package
@@ -101,6 +102,22 @@ def test_save_rejects_mismatched_tensors(tmp_path, tiny_config):
     entry.config = AdapterConfig(reduction_factor=4)  # weights no longer agree
     with pytest.raises(PackageFormatError):
         pio.save_adapter_package(tmp_path / "bad.pkg", tiny_config, entry)
+
+
+def test_checkpoint_writer_refuses_tensors_its_header_does_not_declare(tmp_path, tiny_config):
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(PackageFormatError, match="do not match the layout"):
+        pio.save_backbone_checkpoint(path, tiny_config, AdapterModel(ModelConfig()).weights)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_package_writer_refuses_a_head_resized_after_install(tmp_path, tiny_model):
+    tiny_model.add_adapter("a", reduction_factor=2)
+    tiny_model.add_head("h", 2)
+    tiny_model.get_head("h").b.data = np.zeros(3)
+    with pytest.raises(PackageFormatError, match="do not match the layout"):
+        tiny_model.save_adapter("a", tmp_path / "a.pkg", with_head="h")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_leaves_no_temp_files(tmp_path, tiny_config):
@@ -249,10 +266,27 @@ def test_read_archive_rejects_bad_inputs(tmp_path, tiny_config):
     _, data, pkg = _headed_package(tmp_path, tiny_config, seed=13)
     bad = tmp_path / "bad.zip"
     for metadata, fault in ((b"a: [unclosed\n", "ParserError"), (b"\xff\xfe", "UnicodeDecodeError"),
-                            (b"- 1\n", "must be a mapping")):
+                            (b"- 1\n", "must be a mapping"), (b"a: 2001-13-45\n", "month must be in"),
+                            (b"a: !!bool x\n", "KeyError")):
         bad.write_bytes(pio._archive_bytes(data, pkg, metadata))
         with pytest.raises(PackageFormatError, match=fault):
             pio.read_archive(bad)
+
+
+def test_pack_archive_refuses_metadata_the_reader_refuses(tmp_path, tiny_config):
+    path, _, _ = _headed_package(tmp_path, tiny_config, seed=18)
+    deep = "leaf"  # with the mapping above it, one node deeper than the reader composes
+    for _ in range(MAX_YAML_DEPTH - 1):
+        deep = [deep]
+    out = tmp_path / "bad.zip"
+    for metadata, fault in (([1, 2], "must be a mapping"), ("text", "must be a mapping"),
+                            (None, "must be a mapping"), ({"a": deep}, "nested deeper than"),
+                            ({"a": np.float64(1.0)}, "no YAML form")):
+        with pytest.raises(PackageFormatError, match=fault):
+            pio.pack_archive(out, path, metadata)
+        assert not out.exists()
+    pio.pack_archive(out, path, {"a": deep[0]})  # at the bound it is read back
+    assert pio.read_archive(out)[1] == {"a": deep[0]}
 
 
 def test_verify_package_report(tmp_path, tiny_config):

@@ -1,9 +1,11 @@
-"""Property tests: malformed packages, archives, indexes and cards fail only in documented ways."""
+"""Property tests: what a writer produces reads back, and malformed packages, archives,
+indexes and cards fail only in documented ways."""
 
 import hashlib
 import io
 import zipfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from adapterkit import hub
 from adapterkit import package_io as pio
+from adapterkit.adapters import PRESET_NAMES, AdapterConfig, preset
 from adapterkit.backbone import ModelConfig
 from adapterkit.cli import main
 from adapterkit.codec import MAX_YAML_DEPTH, load_yaml
@@ -68,6 +71,41 @@ def test_resealed_header_and_manifest_mutations(package, tmp_path, data):
     body[data.draw(st.integers(16, texts_end - 1), label="position")] = data.draw(
         st.integers(0, 255), label="byte")
     _check(bytes(body) + hashlib.sha256(body).digest(), tmp_path / "resealed.pkg")
+
+
+_SHAPES = st.builds(
+    lambda heads, head_dim, layers, ffn, vocab, seq: ModelConfig(
+        hidden_size=heads * head_dim, num_layers=layers, num_heads=heads, ffn_size=ffn,
+        vocab_size=vocab, max_seq_len=seq),
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 2), st.integers(1, 8), st.integers(1, 16),
+    st.integers(1, 8))
+_ADAPTER_CONFIGS = st.sampled_from([preset(name) for name in PRESET_NAMES]
+                                   + [AdapterConfig(new_ln_before=True, new_ln_after=True)])
+
+
+@pytest.mark.filterwarnings("ignore::adapterkit.adapters.BottleneckClampWarning")
+@_SETTINGS
+@given(shape=_SHAPES, config=_ADAPTER_CONFIGS, reduction=st.integers(1, 4), labels=st.integers(2, 4),
+       seed=st.integers(0, 2**16))
+def test_every_file_a_writer_produces_reads_back(tmp_path, shape, config, reduction, labels, seed):
+    model = AdapterModel(shape, seed=seed)
+    model.add_adapter("probe", config=config, reduction_factor=reduction)
+    model.add_head("head", labels)
+    rng = np.random.default_rng(seed)
+    for _, t, _ in model.named_parameters():
+        t.data = rng.standard_normal(t.shape)
+    pio.save_backbone_checkpoint(tmp_path / "base.ckpt", shape, model.weights)
+    model.save_adapter("probe", tmp_path / "probe.pkg", with_head="head")
+
+    loaded_config, weights = pio.load_backbone_checkpoint(tmp_path / "base.ckpt")
+    assert loaded_config == shape
+    consumer = AdapterModel(loaded_config, weights=weights)
+    consumer.load_adapter(tmp_path / "probe.pkg")
+    for kind, stored in (("base", np.float64), ("adapter", np.float32), ("head", np.float32)):
+        written = [(n, t.data.astype(stored)) for n, t, owner in model.named_parameters() if owner == kind]
+        read = [(n, t.data) for n, t, owner in consumer.named_parameters() if owner == kind]
+        assert [n for n, _ in read] == [n for n, _ in written]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(read, written))
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
@@ -178,5 +216,8 @@ def test_yaml_depth_bound():
     assert load_yaml(deepest) == yaml.safe_load(deepest)
     with pytest.raises(yaml.YAMLError, match="nested deeper than"):
         load_yaml(f"[{deepest}]")
+    for text in ("a: 2001-13-45\n", "a: !!int ''\n", "a: !!bool x\n", "a: !!timestamp x\n"):
+        with pytest.raises(yaml.YAMLError):  # no bare error from a value yaml cannot build
+            load_yaml(text)
     card = "adapter_id: x\nlevel2: {a: [1, {b: c}]}\n"
     assert load_yaml(card) == yaml.safe_load(card)

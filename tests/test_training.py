@@ -9,7 +9,7 @@ from scipy import stats
 import adapterkit.autodiff as ad
 import adapterkit.training as tr
 from adapterkit.adapters import PRESET_NAMES, AdapterConfig
-from adapterkit.errors import GradientError, UnknownAdapterError
+from adapterkit.errors import GradientError, ShapeMismatchError, UnknownAdapterError
 from adapterkit.manager import AdapterModel
 from adapterkit.training import (Adam, ToyTask, TrainConfig, accuracy, evaluate,
                                  f1_score, generate_toy_task, run_training,
@@ -311,6 +311,22 @@ def test_adapter_only_requires_a_stack(tiny_config):
         run_training(model, seqs, labels, TrainConfig(max_steps=1), adapter_name="ghost")
     with pytest.raises(ValueError):
         run_training(model, seqs[:3], labels[:2], TrainConfig(max_steps=1))
+
+
+def test_refused_runs_leave_the_training_mode_alone(tiny_config):
+    """Non-integer labels are refused, not truncated, and before any tensor is switched."""
+    seqs, labels = _toy_data()
+    model = _toy_model(tiny_config)
+    with pytest.raises(ShapeMismatchError, match="labels must be integers"):
+        evaluate(model, seqs[:2], [0.7, 1.2])
+    modes = [t.requires_grad for _, t, _ in model.named_parameters()]
+    halves = [label + 0.5 for label in labels]
+    for mode, name, run_labels, fault in (("adapter_only", "task", halves, ShapeMismatchError),
+                                          ("full_finetune", None, halves, ShapeMismatchError),
+                                          ("adapter_only", None, labels, ValueError)):  # empty stack
+        with pytest.raises(fault):
+            run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=1), adapter_name=name)
+        assert [t.requires_grad for _, t, _ in model.named_parameters()] == modes
 
 
 def test_adapter_only_leaves_base_untouched(tiny_config):
