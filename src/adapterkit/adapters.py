@@ -12,6 +12,7 @@ Freshly initialized adapters are exact identities on their residual path
 changes its output until training happens.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -136,13 +137,20 @@ def preset(name, reduction_factor=None):
     return resolve_config(cfg, reduction_factor)
 
 
+def as_count(value, what):
+    """``value`` as an ``int``: any integer type but ``bool``, never truncated; ``ValueError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def resolve_config(spec_or_name, reduction_factor=None):
     """Accept an AdapterConfig or a preset name; return an AdapterConfig."""
     if not isinstance(spec_or_name, AdapterConfig):
         return preset(spec_or_name, reduction_factor)
     if reduction_factor is None:
         return spec_or_name
-    return replace(spec_or_name, reduction_factor=int(reduction_factor))
+    return replace(spec_or_name, reduction_factor=as_count(reduction_factor, "reduction_factor"))
 
 
 # ---------------------------------------------------------------------------

@@ -501,8 +501,13 @@ def sum_all(x):
 
 
 def label_array(labels):
-    """Class labels as an ``intp`` array; :class:`ShapeMismatchError` unless every label is an integer."""
-    y = np.asarray(labels)
+    """Class labels as a flat ``intp`` array; :class:`ShapeMismatchError` unless one row of integers."""
+    try:
+        y = np.asarray(labels)
+    except ValueError:  # ragged nesting
+        raise ShapeMismatchError("labels must be one flat sequence, got a ragged one") from None
+    if y.ndim != 1:
+        raise ShapeMismatchError(f"labels must be one flat sequence, got shape {y.shape}")
     if y.dtype.kind not in "biu":
         raise ShapeMismatchError(f"labels must be integers, got {y.dtype} values")
     return y.astype(np.intp, copy=False)

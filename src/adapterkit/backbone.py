@@ -14,6 +14,10 @@ self-attention needs the sequence boundaries, which it takes as lengths.
 
 The encoder returns only its final hidden rows and the pooled representation,
 the first position's hidden state; prediction heads own any further projection.
+A caller that reads the pooled rows alone (``AdapterModel.batch_logits``, so
+every training step, evaluation and prediction) asks for them: the last
+layer's self-attention still runs on every row, as the first positions attend
+to all of their sequence, but everything after it runs on one row per sequence.
 """
 
 import itertools
@@ -161,16 +165,16 @@ def count_backbone_params(config):
 class EncodeResult:
     """What the encoder returns: its final rows and their pooled first positions."""
 
-    hidden: ad.Tensor  # packed rows: total-tokens-by-hidden
+    hidden: ad.Tensor | None  # packed rows: total-tokens-by-hidden; None if pooled_only
     pooled: ad.Tensor  # batch-by-hidden (first positions); a vector from encode
 
 
-def _attention(config, lw, x, lengths):
-    """Multi-head self-attention sublayer (pre-residual output)."""
+def _attention_context(config, lw, x, lengths):
+    """Multi-head self-attention context rows, before the output projection."""
     q = ad.linear(x, lw.w_q, lw.b_q)
     k = ad.linear(x, lw.w_k, lw.b_k)
     v = ad.linear(x, lw.w_v, lw.b_v)
-    return ad.linear(ad.attention(q, k, v, lengths, config.num_heads), lw.w_o, lw.b_o)
+    return ad.attention(q, k, v, lengths, config.num_heads)
 
 
 def _ffn(config, lw, x):
@@ -214,12 +218,20 @@ def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
     return cur
 
 
-def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None):
-    """One full transformer layer on packed rows; ``lengths`` None means one sequence."""
+def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None, rows=None):
+    """One full transformer layer on packed rows; ``lengths`` None means one sequence.
+
+    Self-attention reads every row of ``x``. ``rows``, when given, are the
+    indices of the only rows the caller reads: the output projection, both
+    add-and-norms, the FFN and the adapters then run on those rows alone, and
+    the layer returns them in that order.
+    """
     eps = config.layer_norm_epsilon
-    attn_out = _attention(config, lw, x, [x.shape[0]] if lengths is None else lengths)
-    attn_hidden = _through_insertion_point(
-        x, attn_out, lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
+    context = _attention_context(config, lw, x, [x.shape[0]] if lengths is None else lengths)
+    if rows is not None:
+        context, x = ad.embedding_lookup(context, rows), ad.embedding_lookup(x, rows)
+    attn_hidden = _through_insertion_point(x, ad.linear(context, lw.w_o, lw.b_o),
+                                           lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
     return _through_insertion_point(attn_hidden, _ffn(config, lw, attn_hidden),
                                     lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
 
@@ -252,13 +264,15 @@ def _packed_ids(config, sequences):
     return ids, lengths
 
 
-def encode_batch(config, weights, sequences, layer_hooks=None):
+def encode_batch(config, weights, sequences, layer_hooks=None, pooled_only=False):
     """Run the encoder over a batch of token id sequences in one pass.
 
     ``layer_hooks``, when given, is a list with one entry per layer:
     ``(attention_hooks, output_hooks)`` as consumed by :func:`apply_layer`.
     Returns an :class:`EncodeResult` with the packed final hidden rows and
-    one pooled row per sequence (its first position).
+    one pooled row per sequence (its first position). With ``pooled_only``
+    the last layer computes only the pooled rows after its self-attention,
+    and the result's ``hidden`` is None.
     """
     ids, lengths = _packed_ids(config, sequences)
     starts = np.cumsum(lengths) - lengths
@@ -267,12 +281,17 @@ def encode_batch(config, weights, sequences, layer_hooks=None):
     pos = ad.embedding_lookup(weights.position_embeddings, np.arange(ids.size) - np.repeat(starts, lengths))
     x = ad.add_norm(tok, pos, weights.emb_ln_gamma, weights.emb_ln_beta, eps)
 
+    last = len(weights.layers) - 1
+    # with one token per sequence the pooled rows are all the rows: no gather needed
+    keep = starts if pooled_only and ids.size > lengths.size else None
     for i, lw in enumerate(weights.layers):
         attn_hooks, out_hooks = ((), ())
         if layer_hooks is not None:
             attn_hooks, out_hooks = layer_hooks[i]
-        x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths)
+        x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths, keep if i == last else None)
 
+    if pooled_only:
+        return EncodeResult(hidden=None, pooled=x)
     return EncodeResult(hidden=x, pooled=ad.embedding_lookup(x, starts))
 
 

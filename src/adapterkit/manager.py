@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
-from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, count_adapter_params,
-                       head_layout, init_layer_weights, point_layout, qualify, resolve_config,
-                       validate_identity, validate_name)
+from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, as_count,
+                       count_adapter_params, head_layout, init_layer_weights, point_layout, qualify,
+                       resolve_config, validate_identity, validate_name)
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
 
@@ -139,7 +139,7 @@ class AdapterModel:
 
     def add_head(self, name, num_labels):
         """Attach a zero-initialized linear head (stable early training)."""
-        num_labels = int(num_labels)
+        num_labels = as_count(num_labels, "num_labels")
         w, b = (ad.tensor(np.zeros(shape)) for _, shape in head_layout(self.config.hidden_size, num_labels))
         return self.install_head(PredictionHead(name, num_labels, w, b))
 
@@ -239,9 +239,13 @@ class AdapterModel:
         return bb.encode(self.config, self.weights, token_ids, self._layer_hooks())
 
     def batch_logits(self, sequences, head=None):
-        """Encode the batch in one pass, pool, and classify with the chosen head."""
+        """Encode the batch in one pass, pool, and classify with the chosen head.
+
+        Only the pooled rows are computed past the last layer's self-attention.
+        """
         head = self.get_head(head)
-        pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks()).pooled
+        pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks(),
+                                 pooled_only=True).pooled
         return ad.linear(pooled, head.w, head.b)
 
     def predict(self, sequences, head=None):

@@ -144,6 +144,9 @@ def test_cross_entropy_rejects_bad_labels():
     for labels in ([0.7, 1.2, 0, 1], ["0", "1", "0", "1"], [0, 1, None, 2]):
         with pytest.raises(ShapeMismatchError, match="labels must be integers"):
             ad.cross_entropy(logits, labels)
+    for labels in ([[0], [1], [2], [0]], [[0], 1, 2, 0], 1):
+        with pytest.raises(ShapeMismatchError, match="labels must be one flat sequence"):
+            ad.cross_entropy(logits, labels)
 
 
 def test_non_finite_results_raise():

@@ -174,6 +174,101 @@ def test_batch_rows_match_batch_of_one(desk_config, stack):
         assert np.allclose(row, model.batch_logits([seq]).data[0], atol=1e-12, rtol=0)
 
 
+def _adapted_model(config, stack, rng):
+    """A model with a random 3-label head and the ``stack`` (empty: full fine-tuning) in training mode.
+
+    The adapters' up-projections are random, so no adapter is an identity.
+    """
+    model = AdapterModel(config, seed=11)
+    model.add_head("cls", 3)
+    model.get_head().w.data = rng.standard_normal(model.get_head().w.shape)
+    for name in stack:
+        model.add_adapter(name, config=name, reduction_factor=4)
+        for key, t in model.get_adapter(name).named_tensors():
+            if key.endswith(("w_up", "b_up")):
+                t.data = 0.1 * rng.standard_normal(t.shape)
+    if stack:
+        model.train_adapter(stack)
+    else:
+        model.train_full()
+    return model
+
+
+def _all_rows_logits(model, seqs):
+    """Logits of every final hidden row computed, then each sequence's first row gathered."""
+    lengths = np.array([len(seq) for seq in seqs])
+    hidden = encode_batch(model.config, model.weights, seqs, model._layer_hooks()).hidden
+    head = model.get_head()
+    return ad.linear(ad.embedding_lookup(hidden, np.cumsum(lengths) - lengths), head.w, head.b)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("stack", [[name] for name in PRESET_NAMES] + [["pfeiffer", "houlsby"], []],
+                         ids=list(PRESET_NAMES) + ["pfeiffer+houlsby", "full_finetune"])
+def test_pooled_rows_path_matches_the_all_rows_path(num_layers, stack):
+    """``batch_logits`` computes only the pooled rows past the last attention; nothing else changes."""
+    config = ModelConfig(num_layers=num_layers)
+    rng = np.random.default_rng(11)
+    model = _adapted_model(config, stack, rng)
+    params = [(name, t) for name, t, _ in model.named_parameters() if t.requires_grad]
+    lengths = [1, 5, 1, config.max_seq_len, 3, 1, 17, 2, 9, 1, 12, 4, 30, 1, 6, 16]
+    seqs = [[int(t) for t in rng.integers(0, config.vocab_size, size=n)] for n in lengths]
+    labels = rng.integers(0, 3, size=len(seqs))
+
+    def logits_and_grads(logits_fn, batch):
+        with ad.Tape():
+            logits = logits_fn(batch)
+            grads = ad.backward(ad.cross_entropy(logits, labels))
+        return logits.data, [grads[t] for _, t in params]
+
+    # mixed lengths, then one token per sequence (where the pooled rows are all the rows)
+    for batch in (seqs, [seq[:1] for seq in seqs]):
+        got, got_grads = logits_and_grads(model.batch_logits, batch)
+        want, want_grads = logits_and_grads(lambda b: _all_rows_logits(model, b), batch)
+        # the row-wise ops give each row the same bits for 16 rows as for 256 on this BLAS; a batch
+        # of one sequence is the exception, as numpy multiplies a single row another way, and
+        # test_batch_rows_match_batch_of_one holds it to 1e-12
+        assert np.array_equal(got, want)
+        one_token = batch is not seqs
+        for (name, _), g, w in zip(params, got_grads, want_grads):
+            if one_token:  # the same operations on the same rows
+                assert np.array_equal(g, w), name
+            elif name.endswith(".b_k"):
+                # zero in exact arithmetic (softmax ignores a shift shared by every key): noise only
+                assert max(np.abs(g).max(), np.abs(w).max()) < 1e-15, name
+            else:
+                # backward sums over 16 rows here and over 256 mostly-zero rows there
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+def test_batch_logits_runs_the_last_layer_on_the_pooled_rows_only(desk_config):
+    """The last layer's FFN and its final add-and-norm run on one row per sequence, and only when asked."""
+    rng = np.random.default_rng(13)
+    model = _adapted_model(desk_config, [], rng)
+    seqs = [[int(t) for t in rng.integers(0, desk_config.vocab_size, size=n)] for n in (4, 1, 9, 16)]
+    total, layers = sum(map(len, seqs)), desk_config.num_layers
+
+    def rows_recorded(encode_fn):
+        with ad.Tape() as tape:
+            encode_fn()
+            gelu = [rec.output.shape[0] for rec in tape.records if rec.kind == "gelu"]
+            norm = [rec.output.shape[0] for rec in tape.records if rec.kind == "add_norm"]
+            lookups = sum(rec.kind == "embedding_lookup" for rec in tape.records)
+        return gelu, norm[-1], lookups
+
+    # token and position embeddings, then the context and residual rows of the last layer
+    assert rows_recorded(lambda: model.batch_logits(seqs)) == (
+        [total] * (layers - 1) + [len(seqs)], len(seqs), 4)
+    # one token each: the pooled rows are all the rows, and nothing is gathered
+    assert rows_recorded(lambda: model.batch_logits([seq[:1] for seq in seqs])) == (
+        [len(seqs)] * layers, len(seqs), 2)
+    # token and position embeddings, then the pooled rows of the result
+    assert rows_recorded(lambda: encode_batch(desk_config, model.weights, seqs)) == (
+        [total] * layers, total, 3)
+    pooled_only = encode_batch(desk_config, model.weights, seqs, pooled_only=True)
+    assert pooled_only.hidden is None and pooled_only.pooled.shape == (len(seqs), desk_config.hidden_size)
+
+
 def test_encode_is_deterministic(desk_config):
     weights = init_backbone(desk_config, np.random.default_rng(3))
     ids = [1, 2, 3, 4, 5]

@@ -3,7 +3,7 @@ import pytest
 
 import adapterkit.autodiff as ad
 from adapterkit import package_io
-from adapterkit.adapters import AdapterConfig, count_adapter_params, preset
+from adapterkit.adapters import AdapterConfig, count_adapter_params, preset, resolve_config
 from adapterkit.errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 from adapterkit.manager import AdapterModel, PredictionHead
 
@@ -70,6 +70,22 @@ def test_heads_register_and_activate(tiny_model):
             tiny_model.install_head(PredictionHead(name, 2, ad.tensor(np.zeros((h, 2))),
                                                    ad.tensor(np.zeros(2))))
     assert tiny_model.list_heads() == ["cls", "other"]
+
+
+def test_counts_are_refused_not_truncated(tiny_model):
+    """Label counts and reduction factors take any integer type but ``bool``, as configs do."""
+    for bad in (2.7, 2.0, True, np.True_, "3", None):
+        with pytest.raises(ValueError, match="num_labels must be an integer"):
+            tiny_model.add_head("h", bad)
+    for bad in (2.5, 2.0, True, "4"):
+        with pytest.raises(ValueError, match="reduction_factor must be an integer"):
+            tiny_model.add_adapter("a", reduction_factor=bad)
+        with pytest.raises(ValueError, match="reduction_factor must be an integer"):
+            resolve_config(AdapterConfig(), bad)
+    assert tiny_model.list_heads() == [] and tiny_model.list_adapters() == []
+    head = tiny_model.add_head("h", np.int64(3))
+    assert type(head.num_labels) is int and head.w.shape == (tiny_model.config.hidden_size, 3)
+    assert tiny_model.add_adapter("a", reduction_factor=np.int64(4)).config == preset("pfeiffer", 4)
 
 
 def test_install_head_refuses_heads_no_package_reader_accepts(tiny_model, tmp_path):

@@ -314,19 +314,28 @@ def test_adapter_only_requires_a_stack(tiny_config):
 
 
 def test_refused_runs_leave_the_training_mode_alone(tiny_config):
-    """Non-integer labels are refused, not truncated, and before any tensor is switched."""
+    """Non-integer and nested labels are refused before the stack, a tensor or a head changes."""
     seqs, labels = _toy_data()
     model = _toy_model(tiny_config)
     with pytest.raises(ShapeMismatchError, match="labels must be integers"):
         evaluate(model, seqs[:2], [0.7, 1.2])
-    modes = [t.requires_grad for _, t, _ in model.named_parameters()]
+
+    def state():
+        return (list(model.active_adapters), [t.requires_grad for _, t, _ in model.named_parameters()],
+                model.list_heads(), model.active_head)
+
+    before = state()
     halves = [label + 0.5 for label in labels]
+    nested, ragged = [[label] for label in labels], [[labels[0]]] + labels[1:]
     for mode, name, run_labels, fault in (("adapter_only", "task", halves, ShapeMismatchError),
                                           ("full_finetune", None, halves, ShapeMismatchError),
+                                          ("adapter_only", "task", nested, ShapeMismatchError),
+                                          ("full_finetune", None, nested, ShapeMismatchError),
+                                          ("adapter_only", "task", ragged, ShapeMismatchError),
                                           ("adapter_only", None, labels, ValueError)):  # empty stack
         with pytest.raises(fault):
             run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=1), adapter_name=name)
-        assert [t.requires_grad for _, t, _ in model.named_parameters()] == modes
+        assert state() == before
 
 
 def test_adapter_only_leaves_base_untouched(tiny_config):
