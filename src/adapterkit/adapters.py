@@ -12,14 +12,13 @@ Freshly initialized adapters are exact identities on their residual path
 changes its output until training happens.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .codec import Descriptor
+from .codec import Descriptor, as_count
 from .errors import ShapeMismatchError
 
 ADAPTER_TYPES = ("text_task", "text_lang")
@@ -135,13 +134,6 @@ def preset(name, reduction_factor=None):
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}") from None
     return resolve_config(cfg, reduction_factor)
-
-
-def as_count(value, what):
-    """``value`` as an ``int``: any integer type but ``bool``, never truncated; ``ValueError`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def resolve_config(spec_or_name, reduction_factor=None):

@@ -27,6 +27,9 @@ reference counting rather than left for the cyclic garbage collector.
 Conventions:
 
 - everything is float64; NaN/Inf out of any primitive raises immediately
+- every array of integers a caller hands in (token ids, labels, sequence
+  lengths) passes :func:`index_array`, the one rule for integer arrays;
+  single counts and seeds pass :func:`~adapterkit.codec.as_count`
 - layer_norm maps a row with variance below epsilon to all-zero normalized
   values, i.e. the output is beta on that row (no division blowup)
 - gelu is the exact Gaussian-CDF form ``x * Phi(x)``, so gelu'(0) = 0.5
@@ -359,9 +362,7 @@ def add_norm(a, b, gamma, beta, epsilon):
 def embedding_lookup(table, ids):
     """Gather rows of a vocab-by-dim table by integer id."""
     _require_rank("embedding_lookup", table, 2)
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeMismatchError(f"embedding_lookup: ids must be a flat sequence, got shape {idx.shape}")
+    idx = index_array(ids, "embedding_lookup: ids")
     vocab = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = int(idx[(idx < 0) | (idx >= vocab)][0])
@@ -453,11 +454,11 @@ def attention(q, k, v, lengths, num_heads):
     """
     for t in (q, k, v):
         _require_rank("attention", t, 2)
-    lengths = np.asarray(lengths, dtype=np.intp)
+    lengths = index_array(lengths, "attention: lengths")
     total, width = q.shape
     if k.shape != q.shape or v.shape != q.shape:
         raise ShapeMismatchError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or lengths.sum() != total:
+    if not lengths.size or lengths.min() < 1 or lengths.sum() != total:
         raise ShapeMismatchError(f"attention: lengths {lengths.tolist()} do not pack {total} rows")
     if width % num_heads:
         raise ShapeMismatchError(f"attention: width {width} not divisible by {num_heads} heads")
@@ -500,23 +501,27 @@ def sum_all(x):
     return _finish("sum_all", [x], np.asarray(x.data.sum()), backward_fn)
 
 
-def label_array(labels):
-    """Class labels as a flat ``intp`` array; :class:`ShapeMismatchError` unless one row of integers."""
+def index_array(values, what):
+    """``values`` as a flat ``intp`` array; :class:`ShapeMismatchError` unless one flat sequence
+    of integers other than ``bool``. An empty sequence passes, whatever numpy makes of it."""
     try:
-        y = np.asarray(labels)
+        a = np.asarray(values)
     except ValueError:  # ragged nesting
-        raise ShapeMismatchError("labels must be one flat sequence, got a ragged one") from None
-    if y.ndim != 1:
-        raise ShapeMismatchError(f"labels must be one flat sequence, got shape {y.shape}")
-    if y.dtype.kind not in "biu":
-        raise ShapeMismatchError(f"labels must be integers, got {y.dtype} values")
-    return y.astype(np.intp, copy=False)
+        raise ShapeMismatchError(f"{what} must be one flat sequence, got a ragged one") from None
+    if a.ndim != 1:
+        raise ShapeMismatchError(f"{what} must be one flat sequence, got shape {a.shape}")
+    kind = a.dtype.kind
+    if kind in "iu" and not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
+        kind = "b"  # numpy reads [1, True] as two integers
+    if a.size and kind not in "iu":
+        raise ShapeMismatchError(f"{what} must be integers, got {'bool' if kind == 'b' else a.dtype} values")
+    return a.astype(np.intp, copy=False)
 
 
 def cross_entropy(logits, labels):
     """Mean softmax cross-entropy of rank-2 logits against integer labels."""
     _require_rank("cross_entropy", logits, 2)
-    y = label_array(labels)
+    y = index_array(labels, "labels")
     n, classes = logits.shape
     if y.shape != (n,):
         raise ShapeMismatchError(f"cross_entropy: logits {logits.shape} with labels shape {y.shape}")

@@ -22,7 +22,6 @@ to all of their sequence, but everything after it runs on one row per sequence.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -249,18 +248,11 @@ def _packed_ids(config, sequences):
     if lengths.max() > config.max_seq_len:
         raise ShapeMismatchError(
             f"encode: sequence length {lengths.max()} exceeds max_seq_len {config.max_seq_len}")
-    try:
-        ids = np.fromiter(map(operator.index, itertools.chain.from_iterable(sequences)), np.intp,
-                          int(lengths.sum()))
-        valid = ids.min() >= 0 and ids.max() < config.vocab_size
-    except OverflowError:
-        valid = False
-    except TypeError:
-        bad = next(t for seq in sequences for t in seq if not hasattr(type(t), "__index__"))
-        raise ShapeMismatchError(f"encode: token id {bad!r} is not an integer") from None
-    if not valid:
-        bad = next(int(t) for seq in sequences for t in seq if not 0 <= int(t) < config.vocab_size)
-        raise ShapeMismatchError(f"encode: token id {bad} out of range [0, {config.vocab_size})")
+    ids = ad.index_array(list(itertools.chain.from_iterable(sequences)), "encode: token ids")
+    out_of_range = (ids < 0) | (ids >= config.vocab_size)
+    if out_of_range.any():
+        raise ShapeMismatchError(
+            f"encode: token id {ids[out_of_range][0]} out of range [0, {config.vocab_size})")
     return ids, lengths
 
 

@@ -7,12 +7,18 @@ and hub card carries these hashes, so the text of a config never changes,
 and a descriptor parses only when it is exactly the text its config writes.
 A config in turn holds only values that text reads back.
 
+Every count, seed and size a caller hands in passes :func:`as_count`, the
+one rule for a single integer; arrays of token ids, labels and lengths pass
+:func:`~adapterkit.autodiff.index_array`, the one rule for integer arrays.
+Both refuse ``bool``.
+
 Hub cards and archive metadata are YAML from untrusted sources, and
 :func:`load_yaml` is their one parser; it raises ``yaml.YAMLError`` on any
 text it cannot turn into values.
 """
 
 import hashlib
+import numbers
 from dataclasses import fields
 
 import yaml
@@ -20,6 +26,16 @@ import yaml
 # PyYAML composes nodes recursively: a hostile "[" * 2000 costs a second of CPU
 # before the interpreter's recursion limit stops it, so stop far earlier
 MAX_YAML_DEPTH = 64
+
+
+def as_count(value, what, minimum=0):
+    """``value`` as an ``int``: any integer type but ``bool`` (Python's or numpy's), never
+    truncated, at least ``minimum``; ``ValueError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # numpy's bool is no Integral
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def format_value(value):

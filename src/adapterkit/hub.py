@@ -26,7 +26,7 @@ import yaml
 
 from . import package_io
 from .adapters import ADAPTER_TYPES
-from .codec import load_yaml
+from .codec import as_count, load_yaml
 from .errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                      MetadataError, RegistryError, TransportError)
 
@@ -113,12 +113,11 @@ def ingest_metadata(source):
 
     values = {key: str_field(key) for key in _REQUIRED + _OPTIONAL if key != "reduction_factor"}
 
-    if "reduction_factor" in data and data["reduction_factor"] is not None:
-        rf = data["reduction_factor"]
-        if isinstance(rf, bool) or not isinstance(rf, int) or rf < 1:
-            violations.append("reduction_factor must be a positive integer")
-        else:
-            values["reduction_factor"] = rf
+    if data.get("reduction_factor") is not None:
+        try:
+            values["reduction_factor"] = as_count(data["reduction_factor"], "reduction_factor", 1)
+        except ValueError as exc:
+            violations.append(str(exc))
 
     if values.get("adapter_id") and not _ID_PATTERN.match(values["adapter_id"]):
         violations.append(

@@ -15,9 +15,10 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
-from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, as_count,
-                       count_adapter_params, head_layout, init_layer_weights, point_layout, qualify,
-                       resolve_config, validate_identity, validate_name)
+from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, count_adapter_params,
+                       head_layout, init_layer_weights, point_layout, qualify, resolve_config,
+                       validate_identity, validate_name)
+from .codec import as_count
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
 
@@ -85,7 +86,7 @@ class AdapterModel:
 
     def __init__(self, config, weights=None, seed=0):
         self.config = config
-        self._seed_root = np.random.SeedSequence(seed)
+        self._seed_root = np.random.SeedSequence(as_count(seed, "seed"))
         if weights is None:
             weights = bb.init_backbone(config, np.random.default_rng(self._seed_root.spawn(1)[0]))
         self.weights = weights
@@ -102,7 +103,7 @@ class AdapterModel:
         if name in self._adapters:
             raise ValueError(f"adapter {name!r} already registered")
         cfg = resolve_config(config, reduction_factor)
-        rng = np.random.default_rng(self._seed_root.spawn(1)[0] if seed is None else seed)
+        rng = np.random.default_rng(self._seed_root.spawn(1)[0] if seed is None else as_count(seed, "seed"))
         return self.install_adapter(new_adapter_entry(self.config, name, adapter_type, cfg, rng))
 
     def install_adapter(self, entry):

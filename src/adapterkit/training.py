@@ -5,11 +5,13 @@ initialization, and every update are driven by seeded generators, so two
 runs with the same inputs produce bit-identical weights and logs.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .codec import as_count
 from .errors import GradientError
 
 DEFAULT_LR = {"adapter_only": 1e-3, "full_finetune": 1e-4}
@@ -30,12 +32,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.learning_rate is not None and not 0.0 <= self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        lr = self.learning_rate
+        if lr is not None and (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                               or not 0.0 <= lr < np.inf):
+            raise ValueError(f"learning_rate must be finite, real and >= 0, got {lr!r}")
+        self.seed = as_count(self.seed, "seed")
+        self.batch_size = as_count(self.batch_size, "batch_size", 1)
+        self.max_steps = as_count(self.max_steps, "max_steps", 1)
 
     def resolved_learning_rate(self):
         return DEFAULT_LR[self.mode] if self.learning_rate is None else self.learning_rate
@@ -110,10 +113,10 @@ class ToyTask:
     def __post_init__(self):
         if self.name not in TASKS:
             raise ValueError(f"unknown task {self.name!r}; valid: {TASKS}")
-        if self.seq_len < 4 or self.seq_len % 2 != 0:
+        for name, minimum in (("seed", 0), ("seq_len", 4), ("vocab_size", _NOISE_RANGE[0] + 1)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, minimum))
+        if self.seq_len % 2:
             raise ValueError("seq_len must be an even number >= 4 (odd majority body)")
-        if self.vocab_size < _NOISE_RANGE[0] + 1:
-            raise ValueError(f"vocab_size must be > {_NOISE_RANGE[0]}")
 
     def label_of(self, sequence):
         """Apply the labeling rule directly to one sequence."""
@@ -148,7 +151,7 @@ class ToyTask:
 
     def _generate(self, rng, n, taken):
         """n fresh examples, exactly balanced, none colliding with ``taken``."""
-        if n < 2 or n % 2 != 0:
+        if as_count(n, "split sizes", 2) % 2:
             raise ValueError("split sizes must be even numbers >= 2")
         sequences, labels = [], []
         for label in (0, 1):
@@ -243,10 +246,20 @@ def spearman(a, b):
     return float((ra * rb).sum() / denom)
 
 
+def _split_labels(sequences, labels, what="labels"):
+    """A split's labels through :func:`~adapterkit.autodiff.index_array`; ``ValueError`` unless
+    there is one per sequence and the split is not empty."""
+    y = ad.index_array(labels, what)
+    if len(sequences) != y.size:
+        raise ValueError(f"{len(sequences)} sequences vs {y.size} {what}")
+    if not y.size:
+        raise ValueError("cannot train on or evaluate an empty split")
+    return y
+
+
 def evaluate(model, sequences, labels):
     """Loss plus accuracy/F1/Spearman of the active head's argmax predictions."""
-    if not sequences:
-        raise ValueError("cannot evaluate an empty split")
+    labels = _split_labels(sequences, labels)
     logits = model.batch_logits(sequences)
     loss = ad.cross_entropy(logits, labels)
     predicted = [int(i) for i in np.argmax(logits.data, axis=1)]
@@ -299,11 +312,11 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     activated. The active head computes the loss. The recorded loss at each step is computed before that
     step's update, so ``losses[0]`` is the untrained model's loss.
     """
-    if len(sequences) != len(labels):
-        raise ValueError(f"{len(sequences)} sequences vs {len(labels)} labels")
-    if len(sequences) == 0:
-        raise ValueError("dataset is empty")
-    labels_arr = ad.label_array(labels)
+    labels_arr = _split_labels(sequences, labels)
+    if (dev_sequences is None) != (dev_labels is None):
+        raise ValueError("dev_sequences and dev_labels come together or not at all")
+    if dev_sequences is not None:
+        _split_labels(dev_sequences, dev_labels, "dev_labels")
     if config.mode == "adapter_only":
         if adapter_name is None and not model.active_adapters:
             raise ValueError("adapter_only mode needs adapter_name or an active stack")

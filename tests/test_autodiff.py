@@ -113,6 +113,14 @@ def test_embedding_lookup_gathers_and_validates():
         ad.embedding_lookup(table, [10])
     with pytest.raises(ShapeMismatchError):
         ad.embedding_lookup(table, [-1])
+    for bad in ([True], [np.True_], [3, True], [1.5], [2.0], ["3"], [None], np.array([1.0, 2.0])):
+        with pytest.raises(ShapeMismatchError, match="ids must be integers"):
+            ad.embedding_lookup(table, bad)
+    with pytest.raises(ShapeMismatchError, match="ids must be one flat sequence"):
+        ad.embedding_lookup(table, [[1], [2]])
+    assert np.array_equal(ad.embedding_lookup(table, [np.int64(3), np.uint32(0)]).data, table.data[[3, 0]])
+    assert np.array_equal(ad.embedding_lookup(table, np.array(ids, np.uint32)).data, out)
+    assert ad.embedding_lookup(table, []).shape == (0, 4)
 
 
 def test_pool_slice_concat_stack():
@@ -141,9 +149,15 @@ def test_cross_entropy_rejects_bad_labels():
     logits = _t(rng, 4, 3)
     with pytest.raises(ShapeMismatchError):
         ad.cross_entropy(logits, [0, 1, 2, 3])
-    for labels in ([0.7, 1.2, 0, 1], ["0", "1", "0", "1"], [0, 1, None, 2]):
+    for labels in ([0.7, 1.2, 0, 1], [2.0, 1.0, 0.0, 1.0], ["0", "1", "0", "1"], [0, 1, None, 2],
+                   [True, False, True, False], [np.True_, 0, 1, 2], [0, 1, True, 2], np.array([1, 0, 1, 0], bool)):
         with pytest.raises(ShapeMismatchError, match="labels must be integers"):
             ad.cross_entropy(logits, labels)
+    with pytest.raises(ShapeMismatchError, match="label out of range"):
+        ad.cross_entropy(logits, [0, 1, -1, 2])
+    want = ad.cross_entropy(logits, [0, 1, 2, 1]).data
+    assert ad.cross_entropy(logits, [np.int64(0), np.uint32(1), 2, 1]).data == want
+    assert ad.cross_entropy(logits, np.array([0, 1, 2, 1], np.uint32)).data == want
     for labels in ([[0], [1], [2], [0]], [[0], 1, 2, 0], 1):
         with pytest.raises(ShapeMismatchError, match="labels must be one flat sequence"):
             ad.cross_entropy(logits, labels)
@@ -431,6 +445,11 @@ def test_attention_keeps_packed_sequences_apart():
     for bad in ([3, 1, 5], [3, 1, 5, 3], [0, 4, 5, 2], []):
         with pytest.raises(ShapeMismatchError):
             ad.attention(q, k, v, bad, 3)
+    for bad in ([3.0, 1.0, 5.0, 2.0], [3, 1, 4.5, 2.5], [3, True, 5, 2], [3, np.True_, 5, 2],
+                [3, 1, 5, "2"], [3, 1, 5, None]):
+        with pytest.raises(ShapeMismatchError, match="lengths must be integers"):
+            ad.attention(q, k, v, bad, 3)
+    assert np.array_equal(ad.attention(q, k, v, np.array(lengths, np.uint32), 3).data, ctx.data)
     with pytest.raises(ShapeMismatchError):
         ad.attention(q, k, v, lengths, 4)
 

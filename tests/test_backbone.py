@@ -138,16 +138,22 @@ def test_encode_batch_validates_inputs(tiny_config):
     for batch, message in (([], "empty batch"), ([[1, 2], []], "empty token sequence"),
                            ([[1], too_long], "exceeds max_seq_len"),
                            ([[1], [2, tiny_config.vocab_size]], f"token id {tiny_config.vocab_size} "),
-                           ([[1, -1]], "token id -1 "), ([[2 ** 70]], f"token id {2 ** 70} "),
-                           ([[1.5]], "token id 1.5 is not an integer"),
-                           ([[1], ["3"]], "token id '3' is not an integer"),
-                           ([[None]], "token id None is not an integer"),
-                           ([[2, np.float64(2.0)]], "is not an integer"),
+                           ([[1, -1]], "token id -1 "), ([[2 ** 70]], "token ids must be integers, got object"),
+                           ([[1.5]], "token ids must be integers, got float64"),
+                           ([[2.0]], "token ids must be integers, got float64"),
+                           ([[1], ["3"]], "token ids must be integers, got <U"),
+                           ([[None]], "token ids must be integers, got object"),
+                           ([[2, np.float64(2.0)]], "token ids must be integers"),
+                           ([[True]], "token ids must be integers, got bool"),
+                           ([[1, True]], "token ids must be integers, got bool"),
+                           ([[1], [np.True_, 2]], "token ids must be integers, got bool"),
                            ([5], "sequence of token id sequences"),
                            ([[1], None], "sequence of token id sequences"),
                            (5, "sequence of token id sequences")):
         with pytest.raises(ShapeMismatchError, match=message):
             encode_batch(tiny_config, weights, batch)
+    numpy_ids = encode_batch(tiny_config, weights, [[np.int64(1), np.uint32(2)], np.array([3], np.uint8)])
+    assert np.array_equal(numpy_ids.hidden.data, encode_batch(tiny_config, weights, [[1, 2], [3]]).hidden.data)
 
 
 @pytest.mark.parametrize("stack", [[name] for name in PRESET_NAMES] + [["pfeiffer", "houlsby"]])

@@ -74,6 +74,13 @@ def test_ingest_rejects_non_mapping_and_bad_types():
         hub.ingest_metadata(_card(reduction_factor="sixteen"))
     with pytest.raises(MetadataError):
         hub.ingest_metadata(_card(reduction_factor=0))
+    for bad, message in ((True, "an integer"), (np.True_, "an integer"), (1.5, "an integer"),
+                         (2.0, "an integer"), ("3", "an integer"), (0, ">= 1")):  # None: no factor
+        with pytest.raises(MetadataError, match=f"reduction_factor must be {message}"):
+            hub.ingest_metadata(_card(reduction_factor=bad))
+    for good in (np.int64(16), np.uint32(16)):  # a mapping card takes the integers add_adapter takes
+        entry = hub.ingest_metadata(_card(reduction_factor=good))
+        assert type(entry.reduction_factor) is int and entry.reduction_factor == 16
     with pytest.raises(MetadataError):
         hub.ingest_metadata(_card(model_config_hash="A" * 64))  # uppercase hex
     for card in ("adapter_id: 2001-13-45\n", "adapter_id: !!int ''\n"):  # yaml builds no value

@@ -73,19 +73,34 @@ def test_heads_register_and_activate(tiny_model):
 
 
 def test_counts_are_refused_not_truncated(tiny_model):
-    """Label counts and reduction factors take any integer type but ``bool``, as configs do."""
+    """Label counts, reduction factors and seeds take any integer type but ``bool``, as configs do."""
     for bad in (2.7, 2.0, True, np.True_, "3", None):
         with pytest.raises(ValueError, match="num_labels must be an integer"):
             tiny_model.add_head("h", bad)
-    for bad in (2.5, 2.0, True, "4"):
+    for bad in (2.5, 2.0, True, np.True_, "4"):  # None keeps the preset's factor
         with pytest.raises(ValueError, match="reduction_factor must be an integer"):
             tiny_model.add_adapter("a", reduction_factor=bad)
         with pytest.raises(ValueError, match="reduction_factor must be an integer"):
             resolve_config(AdapterConfig(), bad)
+    for bad, message in ((1.5, "an integer"), (2.0, "an integer"), (True, "an integer"),
+                         (np.True_, "an integer"), ("3", "an integer"), (-1, ">= 0")):
+        with pytest.raises(ValueError, match=f"seed must be {message}"):
+            AdapterModel(tiny_model.config, seed=bad)
+        with pytest.raises(ValueError, match=f"seed must be {message}"):  # None draws a child seed
+            tiny_model.add_adapter("a", seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        AdapterModel(tiny_model.config, seed=None)
+    with pytest.raises(ValueError, match="reduction_factor must be a positive"):
+        tiny_model.add_adapter("a", reduction_factor=0)
     assert tiny_model.list_heads() == [] and tiny_model.list_adapters() == []
     head = tiny_model.add_head("h", np.int64(3))
     assert type(head.num_labels) is int and head.w.shape == (tiny_model.config.hidden_size, 3)
     assert tiny_model.add_adapter("a", reduction_factor=np.int64(4)).config == preset("pfeiffer", 4)
+    assert AdapterModel(tiny_model.config, seed=np.uint32(3)).digest_base() == \
+        AdapterModel(tiny_model.config, seed=3).digest_base()
+    tiny_model.add_adapter("b", reduction_factor=2, seed=np.int64(5))
+    tiny_model.add_adapter("c", reduction_factor=2, seed=5)
+    assert tiny_model.digest_adapter("b") == tiny_model.digest_adapter("c")
 
 
 def test_install_head_refuses_heads_no_package_reader_accepts(tiny_model, tmp_path):

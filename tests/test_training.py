@@ -22,13 +22,20 @@ def test_train_config_validation():
     assert TrainConfig(learning_rate=0.5).resolved_learning_rate() == 0.5
     with pytest.raises(ValueError):
         TrainConfig(mode="lora")
-    for bad in (-1e-3, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for bad in (-1e-3, float("nan"), float("inf"), True, np.True_, "0.1", 1j):
+        with pytest.raises(ValueError, match="learning_rate must be"):
             TrainConfig(learning_rate=bad)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(max_steps=0)
+    assert TrainConfig(learning_rate=np.float32(0.5)).resolved_learning_rate() == 0.5
+    assert TrainConfig(learning_rate=1).resolved_learning_rate() == 1
+    for field, minimum in (("seed", 0), ("batch_size", 1), ("max_steps", 1)):
+        for bad, message in ((True, "an integer"), (np.True_, "an integer"), (1.5, "an integer"),
+                             (2.0, "an integer"), ("3", "an integer"), (None, "an integer"),
+                             (minimum - 1, f">= {minimum}")):
+            with pytest.raises(ValueError, match=f"{field} must be {message}"):
+                TrainConfig(**{field: bad})
+        for good in (np.int64(3), np.uint32(3)):
+            value = getattr(TrainConfig(**{field: good}), field)
+            assert type(value) is int and value == 3
 
 
 def test_adam_matches_reference_implementation():
@@ -77,6 +84,22 @@ def test_unknown_task_rejected():
         ToyTask("majority-token", seed=0, seq_len=7)
     with pytest.raises(ValueError):
         ToyTask("majority-token", seed=0, vocab_size=16)
+    for field, minimum in (("seed", 0), ("seq_len", 4), ("vocab_size", 33)):
+        for bad, message in ((True, "an integer"), (np.True_, "an integer"), (1.5, "an integer"),
+                             (16.0, "an integer"), ("16", "an integer"), (None, "an integer"),
+                             (minimum - 1, f">= {minimum}")):
+            with pytest.raises(ValueError, match=f"{field} must be {message}"):
+                ToyTask("majority-token", **{"seed": 0, field: bad})
+    task = ToyTask("majority-token", seed=np.uint32(3), seq_len=np.int64(8), vocab_size=np.int64(64))
+    assert all(type(v) is int for v in (task.seed, task.seq_len, task.vocab_size))
+    assert task.datasets(np.int64(4), np.uint32(2)) == ToyTask("majority-token", 3, 8, 64).datasets(4, 2)
+    for bad, message in ((True, "an integer"), (np.True_, "an integer"), (1.5, "an integer"),
+                         (2.0, "an integer"), ("2", "an integer"), (None, "an integer"), (0, ">= 2"),
+                         (3, "even")):
+        with pytest.raises(ValueError, match=f"split sizes must be {message}"):
+            task.datasets(bad, 2)
+        with pytest.raises(ValueError, match=f"split sizes must be {message}"):
+            task.datasets(4, bad)
 
 
 def test_datasets_deterministic_balanced_disjoint():
@@ -314,7 +337,7 @@ def test_adapter_only_requires_a_stack(tiny_config):
 
 
 def test_refused_runs_leave_the_training_mode_alone(tiny_config):
-    """Non-integer and nested labels are refused before the stack, a tensor or a head changes."""
+    """Bad labels and dev splits are refused before the stack, a tensor, a flag or a head changes."""
     seqs, labels = _toy_data()
     model = _toy_model(tiny_config)
     with pytest.raises(ShapeMismatchError, match="labels must be integers"):
@@ -322,20 +345,37 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
 
     def state():
         return (list(model.active_adapters), [t.requires_grad for _, t, _ in model.named_parameters()],
-                model.list_heads(), model.active_head)
+                model.list_heads(), model.active_head, model.get_adapter("task").trained,
+                model.digest_adapter("task"), model.digest_base())
 
     before = state()
     halves = [label + 0.5 for label in labels]
     nested, ragged = [[label] for label in labels], [[labels[0]]] + labels[1:]
-    for mode, name, run_labels, fault in (("adapter_only", "task", halves, ShapeMismatchError),
-                                          ("full_finetune", None, halves, ShapeMismatchError),
-                                          ("adapter_only", "task", nested, ShapeMismatchError),
-                                          ("full_finetune", None, nested, ShapeMismatchError),
-                                          ("adapter_only", "task", ragged, ShapeMismatchError),
-                                          ("adapter_only", None, labels, ValueError)):  # empty stack
+    bools = [bool(label) for label in labels]
+    dev = (seqs[:4], labels[:4])
+    for mode, name, run_labels, (dev_x, dev_y), fault in (
+            ("adapter_only", "task", halves, (None, None), ShapeMismatchError),
+            ("full_finetune", None, halves, (None, None), ShapeMismatchError),
+            ("adapter_only", "task", nested, (None, None), ShapeMismatchError),
+            ("full_finetune", None, nested, (None, None), ShapeMismatchError),
+            ("adapter_only", "task", ragged, (None, None), ShapeMismatchError),
+            ("adapter_only", "task", bools, (None, None), ShapeMismatchError),
+            ("adapter_only", "task", labels[:-1] + [True], (None, None), ShapeMismatchError),
+            ("adapter_only", "task", labels, (seqs[:4], None), ValueError),
+            ("adapter_only", "task", labels, (None, labels[:4]), ValueError),
+            ("adapter_only", "task", labels, (seqs[:4], labels[:3]), ValueError),
+            ("full_finetune", None, labels, (seqs[:4], labels[:3]), ValueError),
+            ("adapter_only", "task", labels, (seqs[:4], [0.0, 1.0, 1.0, 0.0]), ShapeMismatchError),
+            ("adapter_only", "task", labels, (seqs[:4], [True, False, True, False]), ShapeMismatchError),
+            ("adapter_only", "task", labels, ([], []), ValueError),
+            ("adapter_only", None, labels, dev, ValueError)):  # empty stack
         with pytest.raises(fault):
-            run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=1), adapter_name=name)
+            run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=50), adapter_name=name,
+                         dev_sequences=dev_x, dev_labels=dev_y)
         assert state() == before
+    run_training(model, seqs, np.array(labels, np.uint8), TrainConfig(max_steps=1), adapter_name="task",
+                 dev_sequences=dev[0], dev_labels=[np.int64(y) for y in dev[1]])
+    assert state() != before
 
 
 def test_adapter_only_leaves_base_untouched(tiny_config):
