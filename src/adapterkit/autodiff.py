@@ -4,8 +4,9 @@ The primitive set is what the batched transformer encoder and the adapter
 training loop need: ``linear`` (``x @ w`` plus a bias on every row),
 ``add_norm`` (layer normalization of a residual sum), ``layer_norm``,
 ``add``, four activations, embedding lookup, masked multi-head attention
-over packed rows (context only: the probabilities stay in its backward
-rule), and two losses. ``matmul`` and ``add_bias``, which ``linear`` fuses,
+over packed rows (queries from every row or from each sequence's first row
+only; context only: the probabilities stay in its backward rule), and two
+losses. ``matmul`` and ``add_bias``, which ``linear`` fuses,
 and ``scale``, ``softmax_rows``, ``transpose``, ``slice_cols``,
 ``concat_cols`` and ``stack_rows`` are off the encoder's path; they remain,
 with ``mean_pool_first`` (which ``encode`` uses), because the benchmark's
@@ -446,49 +447,62 @@ def stack_rows(parts):
 def attention(q, k, v, lengths, num_heads):
     """Masked multi-head self-attention over packed rows.
 
-    ``q``, ``k`` and ``v`` hold the rows of ``len(lengths)`` sequences back
-    to back. Each sequence attends only to its own rows: they are padded by
-    index to ``(batch, heads, longest, head_dim)``, and the scores of padded
-    keys are set to -inf before the row-max shift. Returns the packed
-    context rows; the probabilities stay inside the backward rule.
+    ``k`` and ``v`` hold the rows of ``len(lengths)`` sequences back to
+    back. ``q`` holds either the same rows (every position queries) or one
+    row per sequence, its first position; with every length 1 the two are
+    the same. Each query attends only to its own sequence's keys: the rows
+    are padded by index to ``(batch, heads, longest, head_dim)``, and the
+    scores of padded keys are set to -inf before the row-max shift. Returns
+    one packed context row per query row; the probabilities stay inside the
+    backward rule, which returns ``dq`` in ``q``'s packing.
     """
     for t in (q, k, v):
         _require_rank("attention", t, 2)
     lengths = index_array(lengths, "attention: lengths")
-    total, width = q.shape
-    if k.shape != q.shape or v.shape != q.shape:
+    total, width = k.shape
+    if v.shape != k.shape or q.shape[1] != width:
         raise ShapeMismatchError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
     if not lengths.size or lengths.min() < 1 or lengths.sum() != total:
         raise ShapeMismatchError(f"attention: lengths {lengths.tolist()} do not pack {total} rows")
+    batch = lengths.size
+    if q.shape[0] not in (total, batch):
+        raise ShapeMismatchError(
+            f"attention: q has {q.shape[0]} rows; want {total} (every position) or {batch} (first positions)")
     if width % num_heads:
         raise ShapeMismatchError(f"attention: width {width} not divisible by {num_heads} heads")
-    batch, longest, d = lengths.size, int(lengths.max()), width // num_heads
+    longest, d = int(lengths.max()), width // num_heads
     starts = np.cumsum(lengths) - lengths
     rows = np.arange(total) + np.repeat(np.arange(batch) * longest - starts, lengths)
+    if q.shape[0] == total:
+        q_rows, q_len = rows, longest
+    else:
+        # each first position plus one zero row: numpy sends a 1-row block to gemv, whose bits differ
+        # from the all-positions block's gemm, while gemm gives a row the same bits at any row count
+        q_rows, q_len = np.arange(batch) * 2, 2
 
-    def pad(x):
-        out = np.zeros((batch * longest, width))
+    def pad(x, rows=rows, n=longest):
+        out = np.zeros((batch * n, width))
         out[rows] = x
-        return out.reshape(batch, longest, num_heads, d).transpose(0, 2, 1, 3)
+        return out.reshape(batch, n, num_heads, d).transpose(0, 2, 1, 3)
 
-    def unpad(x):
-        return x.transpose(0, 2, 1, 3).reshape(batch * longest, width)[rows]
+    def unpad(x, rows=rows, n=longest):
+        return x.transpose(0, 2, 1, 3).reshape(batch * n, width)[rows]
 
     factor = 1.0 / np.sqrt(d)
-    q_p, k_p, v_p = pad(q.data), pad(k.data), pad(v.data)
+    q_p, k_p, v_p = pad(q.data, q_rows, q_len), pad(k.data), pad(v.data)
     padded_key = (np.arange(longest) >= lengths[:, None])[:, None, None, :]
     scores = np.where(padded_key, -np.inf, (q_p @ k_p.transpose(0, 1, 3, 2)) * factor)
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     probs = e / e.sum(axis=3, keepdims=True)
 
     def backward_fn(g, needs):
-        g_p = pad(g)
+        g_p = pad(g, q_rows, q_len)
         d_probs = g_p @ v_p.transpose(0, 1, 3, 2)
         d_scores = factor * (probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)))
-        return [unpad(d_scores @ k_p), unpad(d_scores.transpose(0, 1, 3, 2) @ q_p),
+        return [unpad(d_scores @ k_p, q_rows, q_len), unpad(d_scores.transpose(0, 1, 3, 2) @ q_p),
                 unpad(probs.transpose(0, 1, 3, 2) @ g_p)]
 
-    return _finish("attention", [q, k, v], unpad(probs @ v_p), backward_fn)
+    return _finish("attention", [q, k, v], unpad(probs @ v_p, q_rows, q_len), backward_fn)
 
 
 def sum_all(x):

@@ -16,8 +16,9 @@ The encoder returns only its final hidden rows and the pooled representation,
 the first position's hidden state; prediction heads own any further projection.
 A caller that reads the pooled rows alone (``AdapterModel.batch_logits``, so
 every training step, evaluation and prediction) asks for them: the last
-layer's self-attention still runs on every row, as the first positions attend
-to all of their sequence, but everything after it runs on one row per sequence.
+layer's keys and values still cover every row, as the first positions attend
+to all of their sequence, but its queries and everything after attention run
+on one row per sequence.
 """
 
 import itertools
@@ -168,9 +169,9 @@ class EncodeResult:
     pooled: ad.Tensor  # batch-by-hidden (first positions); a vector from encode
 
 
-def _attention_context(config, lw, x, lengths):
-    """Multi-head self-attention context rows, before the output projection."""
-    q = ad.linear(x, lw.w_q, lw.b_q)
+def _attention_context(config, lw, x, queries, lengths):
+    """Multi-head self-attention context of the ``queries`` rows over ``x``, before the output projection."""
+    q = ad.linear(queries, lw.w_q, lw.b_q)
     k = ad.linear(x, lw.w_k, lw.b_k)
     v = ad.linear(x, lw.w_v, lw.b_v)
     return ad.attention(q, k, v, lengths, config.num_heads)
@@ -217,19 +218,23 @@ def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
     return cur
 
 
-def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None, rows=None):
+def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None, pooled_only=False):
     """One full transformer layer on packed rows; ``lengths`` None means one sequence.
 
-    Self-attention reads every row of ``x``. ``rows``, when given, are the
-    indices of the only rows the caller reads: the output projection, both
-    add-and-norms, the FFN and the adapters then run on those rows alone, and
-    the layer returns them in that order.
+    The keys and values of self-attention are every row of ``x``. So are
+    its queries, unless ``pooled_only``: then only each sequence's first row
+    queries, and the query projection, the output projection, both
+    add-and-norms, the FFN and the adapters run on those rows alone. The
+    layer returns one row per query row.
     """
     eps = config.layer_norm_epsilon
-    context = _attention_context(config, lw, x, [x.shape[0]] if lengths is None else lengths)
-    if rows is not None:
-        context, x = ad.embedding_lookup(context, rows), ad.embedding_lookup(x, rows)
-    attn_hidden = _through_insertion_point(x, ad.linear(context, lw.w_o, lw.b_o),
+    lengths = [x.shape[0]] if lengths is None else lengths
+    rows = x
+    # with one token per sequence the first rows are all the rows: no gather needed
+    if pooled_only and len(lengths) < x.shape[0]:
+        rows = ad.embedding_lookup(x, np.cumsum(lengths) - lengths)
+    context = _attention_context(config, lw, x, rows, lengths)
+    attn_hidden = _through_insertion_point(rows, ad.linear(context, lw.w_o, lw.b_o),
                                            lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
     return _through_insertion_point(attn_hidden, _ffn(config, lw, attn_hidden),
                                     lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
@@ -263,8 +268,9 @@ def encode_batch(config, weights, sequences, layer_hooks=None, pooled_only=False
     ``(attention_hooks, output_hooks)`` as consumed by :func:`apply_layer`.
     Returns an :class:`EncodeResult` with the packed final hidden rows and
     one pooled row per sequence (its first position). With ``pooled_only``
-    the last layer computes only the pooled rows after its self-attention,
-    and the result's ``hidden`` is None.
+    the last layer's queries and everything after them cover only the pooled
+    rows (its keys and values still cover every row), and the result's
+    ``hidden`` is None.
     """
     ids, lengths = _packed_ids(config, sequences)
     starts = np.cumsum(lengths) - lengths
@@ -274,13 +280,11 @@ def encode_batch(config, weights, sequences, layer_hooks=None, pooled_only=False
     x = ad.add_norm(tok, pos, weights.emb_ln_gamma, weights.emb_ln_beta, eps)
 
     last = len(weights.layers) - 1
-    # with one token per sequence the pooled rows are all the rows: no gather needed
-    keep = starts if pooled_only and ids.size > lengths.size else None
     for i, lw in enumerate(weights.layers):
         attn_hooks, out_hooks = ((), ())
         if layer_hooks is not None:
             attn_hooks, out_hooks = layer_hooks[i]
-        x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths, keep if i == last else None)
+        x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths, pooled_only and i == last)
 
     if pooled_only:
         return EncodeResult(hidden=None, pooled=x)

@@ -242,7 +242,8 @@ class AdapterModel:
     def batch_logits(self, sequences, head=None):
         """Encode the batch in one pass, pool, and classify with the chosen head.
 
-        Only the pooled rows are computed past the last layer's self-attention.
+        The last layer's attention keys and values cover every row; its queries and
+        everything after them cover only the pooled rows.
         """
         head = self.get_head(head)
         pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks(),

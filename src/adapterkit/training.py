@@ -19,9 +19,9 @@ MODES = ("adapter_only", "full_finetune")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters of one training run."""
+    """Hyper-parameters of one training run; immutable, so its checks hold for its lifetime."""
 
     mode: str = "adapter_only"
     seed: int = 0
@@ -36,9 +36,8 @@ class TrainConfig:
         if lr is not None and (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
                                or not 0.0 <= lr < np.inf):
             raise ValueError(f"learning_rate must be finite, real and >= 0, got {lr!r}")
-        self.seed = as_count(self.seed, "seed")
-        self.batch_size = as_count(self.batch_size, "batch_size", 1)
-        self.max_steps = as_count(self.max_steps, "max_steps", 1)
+        for name, minimum in (("seed", 0), ("batch_size", 1), ("max_steps", 1)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, minimum))
 
     def resolved_learning_rate(self):
         return DEFAULT_LR[self.mode] if self.learning_rate is None else self.learning_rate
@@ -55,16 +54,19 @@ class Adam(object):
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads):
-        """Apply one update from a {tensor: gradient array} mapping."""
+        """Apply one update from a {tensor: gradient array} mapping.
+
+        Every gradient's shape is checked before anything changes, so a refused step leaves
+        ``t``, the moments and the parameters as they were.
+        """
+        updates = [(i, p, g) for i, p in enumerate(self.params) if (g := grads.get(p)) is not None]
+        for _, p, g in updates:
+            if g.shape != p.data.shape:
+                raise GradientError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            g = grads.get(p)
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise GradientError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
+        for i, p, g in updates:
             self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
             self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self._m[i] / c1

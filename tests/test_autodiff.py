@@ -468,6 +468,43 @@ def test_fd_attention_ragged_lengths():
     _fd(lambda t: loss(q, k, t), v)
 
 
+def test_pooled_query_attention_is_the_first_rows_of_all_query_attention():
+    """One query per sequence gives, bit for bit, the first rows that every position's queries give."""
+    rng = np.random.default_rng(27)
+    for lengths, heads in (([3, 1, 5, 2, 1, 7], 3), ([5], 3), ([1, 1, 1], 2), ([1], 2)):
+        q, k, v = (_t(rng, sum(lengths), 6) for _ in range(3))
+        starts = np.cumsum(lengths) - lengths
+        pooled = ad.attention(ad.tensor(q.data[starts]), k, v, lengths, heads)
+        assert pooled.shape == (len(lengths), 6)
+        assert np.array_equal(pooled.data, ad.attention(q, k, v, lengths, heads).data[starts])
+        # a first position that attends to its own sequence only
+        want = [_np_attention_one(q.data[s:s + n], k.data[s:s + n], v.data[s:s + n], heads)[0]
+                for s, n in zip(starts, lengths)]
+        assert np.allclose(pooled.data, want, atol=1e-14, rtol=0)
+    q, k, v = (_t(rng, 11, 6) for _ in range(3))
+    for rows in (0, 1, 3, 5, 10, 12):  # neither every position (11) nor one per sequence (4)
+        with pytest.raises(ShapeMismatchError, match="q has"):
+            ad.attention(_t(rng, rows, 6), k, v, [3, 1, 5, 2], 3)
+    for bad_q in (_t(rng, 4, 4), _t(rng, 11, 3)):
+        with pytest.raises(ShapeMismatchError):
+            ad.attention(bad_q, k, v, [3, 1, 5, 2], 3)
+
+
+def test_fd_pooled_query_attention():
+    rng = np.random.default_rng(28)
+    lengths = [2, 4, 1]
+    q = ad.tensor(rng.standard_normal((3, 4)))
+    k, v = (ad.tensor(rng.standard_normal((7, 4))) for _ in range(2))
+    w = rng.standard_normal((3, 4))  # weights every context row differently
+
+    def loss(q, k, v):
+        return ad.mean_squared_error(ad.attention(q, k, v, lengths, 2), w)
+
+    _fd(lambda t: loss(t, k, v), q)
+    _fd(lambda t: loss(q, t, v), k)
+    _fd(lambda t: loss(q, k, t), v)
+
+
 def test_fd_check_api_contract():
     x = ad.tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):

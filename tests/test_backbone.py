@@ -248,7 +248,7 @@ def test_pooled_rows_path_matches_the_all_rows_path(num_layers, stack):
 
 
 def test_batch_logits_runs_the_last_layer_on_the_pooled_rows_only(desk_config):
-    """The last layer's FFN and its final add-and-norm run on one row per sequence, and only when asked."""
+    """The last layer's queries, FFN and final add-and-norm run on one row per sequence, and only when asked."""
     rng = np.random.default_rng(13)
     model = _adapted_model(desk_config, [], rng)
     seqs = [[int(t) for t in rng.integers(0, desk_config.vocab_size, size=n)] for n in (4, 1, 9, 16)]
@@ -259,18 +259,19 @@ def test_batch_logits_runs_the_last_layer_on_the_pooled_rows_only(desk_config):
             encode_fn()
             gelu = [rec.output.shape[0] for rec in tape.records if rec.kind == "gelu"]
             norm = [rec.output.shape[0] for rec in tape.records if rec.kind == "add_norm"]
+            attention = [rec.output.shape[0] for rec in tape.records if rec.kind == "attention"]
             lookups = sum(rec.kind == "embedding_lookup" for rec in tape.records)
-        return gelu, norm[-1], lookups
+        return gelu, norm[-1], attention[-1], lookups
 
-    # token and position embeddings, then the context and residual rows of the last layer
+    # token and position embeddings, then the first rows of the last layer's input
     assert rows_recorded(lambda: model.batch_logits(seqs)) == (
-        [total] * (layers - 1) + [len(seqs)], len(seqs), 4)
+        [total] * (layers - 1) + [len(seqs)], len(seqs), len(seqs), 3)
     # one token each: the pooled rows are all the rows, and nothing is gathered
     assert rows_recorded(lambda: model.batch_logits([seq[:1] for seq in seqs])) == (
-        [len(seqs)] * layers, len(seqs), 2)
+        [len(seqs)] * layers, len(seqs), len(seqs), 2)
     # token and position embeddings, then the pooled rows of the result
     assert rows_recorded(lambda: encode_batch(desk_config, model.weights, seqs)) == (
-        [total] * layers, total, 3)
+        [total] * layers, total, total, 3)
     pooled_only = encode_batch(desk_config, model.weights, seqs, pooled_only=True)
     assert pooled_only.hidden is None and pooled_only.pooled.shape == (len(seqs), desk_config.hidden_size)
 

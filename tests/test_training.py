@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +39,18 @@ def test_train_config_validation():
             assert type(value) is int and value == 3
 
 
+def test_train_config_is_frozen():
+    """A config's checks hold for its lifetime: no field can be set after construction."""
+    c = TrainConfig(max_steps=3)
+    for field, value in (("max_steps", 2.5), ("max_steps", 4), ("mode", "lora"), ("learning_rate", 0.1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, value)
+    assert c == TrainConfig(max_steps=3)
+    assert dataclasses.replace(c, max_steps=np.int64(4)).max_steps == 4
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        dataclasses.replace(c, max_steps=2.5)
+
+
 def test_adam_matches_reference_implementation():
     """Updates agree with an independently coded Adam over random gradients."""
     rng = np.random.default_rng(0)
@@ -72,6 +85,25 @@ def test_adam_skips_missing_and_rejects_bad_shape():
     assert np.array_equal(q.data, np.ones(3))  # no gradient, no update
     with pytest.raises(GradientError):
         opt.step({p: np.ones(4)})
+
+
+def test_refused_adam_step_changes_nothing():
+    """A wrong-shaped gradient for any parameter is refused before the first one moves."""
+    rng = np.random.default_rng(5)
+    p, q = (ad.tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2))
+    opt = Adam([p, q], lr=0.1)
+    opt.step({p: rng.standard_normal(3), q: rng.standard_normal(3)})
+
+    def state():
+        return [opt.t] + [a.copy() for a in opt._m + opt._v + [p.data, q.data]]
+
+    before = state()
+    for bad in ({p: np.ones(3), q: np.ones(4)}, {p: np.ones((3, 1)), q: np.ones(3)}, {q: np.ones((1, 3))}):
+        with pytest.raises(GradientError):
+            opt.step(bad)
+        after = state()
+        assert after[0] == before[0] == 1
+        assert all(np.array_equal(a, b) for a, b in zip(after[1:], before[1:]))
 
 
 # -- synthetic tasks ---------------------------------------------------------
