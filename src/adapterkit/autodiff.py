@@ -129,7 +129,7 @@ def _tracked(t, tape):
 
 def _finish(kind, inputs, out_data, backward_fn):
     """Wrap a primitive result: finiteness check plus optional recording."""
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{kind} produced a non-finite value")
     out = Tensor.__new__(Tensor)
     out.data = out_data

@@ -14,7 +14,10 @@ Both refuse ``bool``.
 
 Hub cards and archive metadata are YAML from untrusted sources, and
 :func:`load_yaml` is their one parser; it raises ``yaml.YAMLError`` on any
-text it cannot turn into values.
+text it cannot turn into values. libyaml's iterative event parser reads the
+text where PyYAML was built with it (PyYAML's pure-Python parser where not),
+and PyYAML's Python composer builds the nodes from its events, refusing any
+nesting deeper than ``MAX_YAML_DEPTH``.
 """
 
 import hashlib
@@ -23,8 +26,9 @@ from dataclasses import fields
 
 import yaml
 
-# PyYAML composes nodes recursively: a hostile "[" * 2000 costs a second of CPU
-# before the interpreter's recursion limit stops it, so stop far earlier
+# Composers recurse once per level: libyaml's C composer crashes the interpreter on
+# "[" * 40_000 and PyYAML's Python one spends a second of CPU before the recursion
+# limit stops it. So the Python composer, fed by an iterative event parser, stops here
 MAX_YAML_DEPTH = 64
 
 
@@ -104,8 +108,23 @@ class Descriptor:
         return config
 
 
-class _DepthBoundLoader(yaml.SafeLoader):
+# the event source: libyaml's parser where PyYAML has it, else PyYAML's own
+_LOADER_BASES = ((yaml.cyaml.CParser,) if yaml.__with_libyaml__
+                 else (yaml.reader.Reader, yaml.scanner.Scanner, yaml.parser.Parser)) + (
+    yaml.composer.Composer, yaml.constructor.SafeConstructor, yaml.resolver.Resolver)
+
+
+class _DepthBoundLoader(*_LOADER_BASES):
     depth = 0  # nesting of the node being composed; `+=` gives each loader its own count
+    # the Python composer's entry points, never CParser's recursive C composer
+    get_single_node = yaml.composer.Composer.get_single_node
+    check_node = yaml.composer.Composer.check_node
+    get_node = yaml.composer.Composer.get_node
+
+    def __init__(self, stream):
+        _LOADER_BASES[0].__init__(self, stream)  # CParser or Reader; the rest take no stream
+        for base in _LOADER_BASES[1:]:
+            base.__init__(self)
 
     def compose_node(self, parent, index):
         if self.depth == MAX_YAML_DEPTH:

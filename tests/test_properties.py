@@ -2,8 +2,14 @@
 indexes and cards fail only in documented ways."""
 
 import hashlib
+import importlib.util
 import io
+import json
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,20 +204,91 @@ def test_flipped_truncated_and_nested_indexes(index_text, tmp_path, data):
     assert main(["explore", "--index", str(path)]) in (0, 2)
 
 
+# one line per hostile input in argv[2:]: the errors ingest_metadata and read_archive raise,
+# each with whether it names the depth bound, after the event source's class name
+_NESTING_CHILD = """
+import json, sys
+from pathlib import Path
+import yaml
+yaml.__with_libyaml__ = sys.argv[1] == "libyaml"
+from adapterkit import codec, hub, package_io as pio
+print(codec._DepthBoundLoader.__mro__[1].__name__)
+for card in sys.argv[2:]:
+    errors = []
+    for read, arg in ((hub.ingest_metadata, Path(card).read_text(encoding="utf-8")),
+                      (pio.read_archive, card + ".zip")):
+        try:
+            read(arg)
+        except Exception as exc:
+            errors.append([type(exc).__name__, "nested deeper than" in str(exc)])
+    print(json.dumps(errors))
+"""
+
+
 def test_deeply_nested_cards_and_archive_metadata(runnable, tmp_path):
-    # the loader stops at MAX_YAML_DEPTH; libyaml 0.2.5's CSafeLoader crashes the
-    # interpreter on "[" * 40_000, so a switch to it cannot pass here
-    for depth in (1_000, 100_000):
-        with pytest.raises(MetadataError):
-            hub.ingest_metadata("[" * depth)
+    # every nesting construct, far past MAX_YAML_DEPTH; libyaml's own composer crashes the
+    # interpreter on "[" * 40_000, so each event source reads them in a child process,
+    # where such a crash fails this test instead of ending the run
+    hostile = ["[" * 40_000, "[" * 100_000, "- " * 40_000 + "x", "{a: " * 40_000, "[{" * 20_000,
+               "".join(" " * depth + "k:\n" for depth in range(100))]
     data = (runnable / "probe.pkg").read_bytes()
-    nested = tmp_path / "nested.zip"
-    nested.write_bytes(pio._archive_bytes(data, pio.parse_adapter_package(data), b"[" * 1_000))
-    with pytest.raises(PackageFormatError, match="nested deeper than"):
-        pio.read_archive(nested)
+    pkg = pio.parse_adapter_package(data)
+    cards = []
+    for i, text in enumerate(hostile):
+        card = tmp_path / f"{i}.yaml"
+        card.write_text(text, encoding="utf-8")
+        Path(f"{card}.zip").write_bytes(pio._archive_bytes(data, pkg, text.encode("utf-8")))
+        cards.append(str(card))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    sources = {"pyyaml": "Reader"} | ({"libyaml": "CParser"} if yaml.__with_libyaml__ else {})
+    for source, base in sources.items():
+        child = subprocess.run([sys.executable, "-c", _NESTING_CHILD, source, *cards], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, (source, child.returncode, child.stderr[-2000:])
+        lines = child.stdout.splitlines()
+        assert lines[0] == base
+        assert [json.loads(line) for line in lines[1:]] == [
+            [["MetadataError", True], ["PackageFormatError", True]]] * len(hostile)
 
 
-def test_yaml_depth_bound():
+def _codec_on_pyyaml_parser(monkeypatch):
+    """A private copy of ``adapterkit.codec``, built as it is where PyYAML has no libyaml."""
+    spec = importlib.util.find_spec("adapterkit.codec")
+    module = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(yaml, "__with_libyaml__", False)
+        spec.loader.exec_module(module)
+    return module
+
+
+# load_yaml must read each as pure-Python yaml.safe_load does, or fail where it fails
+_PARITY_CORPUS = [
+    "base: &b {x: 1, y: 2}\nuse: *b\nlist: [&s str, *s]\n",
+    "a: &x [*x]\n",
+    "base: &b {x: 1, y: 2}\nmerged:\n  <<: *b\n  y: 3\n",
+    "m: {<<: [{a: 1}, {b: 2}], c: 3}\n",
+    "s: !!set {a, b}\no: !!omap [a: 1, b: 2]\nb: !!binary aGVsbG8=\n",
+    "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\ns: 2001-12-14 21:59:43.10 -5\n",
+    "t: 2001-13-45\n", "t: 2001-02-30T25:00:00Z\n", "t: !!timestamp 2001-1-1x\n",
+    "n: [0x1F, 0o17, 1_000, 1:20, .inf, -.inf, 017, 0b101, +12, 1e3, 1.5e+3]\n",
+    "\ufeffa: 1\n", "a: 1\r\nb: [2, 3]\r\n",
+    "%YAML 1.1\n---\na: 1\n", "%YAML 2.0\n---\na: 1\n", "a: 1\n---\nb: 2\n", "a: *nope\n",
+    "a: x\x00y\n", "a: x\x07y\n", "a: x\x7fy\n", "a: x\x85y\n", "a: x\x86y\n", "a: x\ufffey\n",
+    "a: x\u2028y\n", "a: 'x\u2028y'\n",
+    "k" * 2000 + ": v\n", "? " + "k" * 2000 + "\n: v\n",
+    "a: x\ud800y\n",  # ReaderError from PyYAML, UnicodeEncodeError on the way into libyaml
+    "", "- yes\n- no\n- on\n- y\n- ~\n",
+]
+
+
+def _outcome(load, text):
+    try:
+        return repr(load(text))  # repr: == recurses without end on a recursive alias
+    except Exception as exc:
+        return exc
+
+
+def test_yaml_depth_bound(monkeypatch):
     deepest = "[" * MAX_YAML_DEPTH + "]" * MAX_YAML_DEPTH
     assert load_yaml(deepest) == yaml.safe_load(deepest)
     with pytest.raises(yaml.YAMLError, match="nested deeper than"):
@@ -221,3 +298,13 @@ def test_yaml_depth_bound():
             load_yaml(text)
     card = "adapter_id: x\nlevel2: {a: [1, {b: c}]}\n"
     assert load_yaml(card) == yaml.safe_load(card)
+    fallback = _codec_on_pyyaml_parser(monkeypatch)
+    assert fallback._DepthBoundLoader.__mro__[1] is yaml.reader.Reader
+    for text in _PARITY_CORPUS:
+        expected = _outcome(yaml.safe_load, text)
+        for loader in (load_yaml, fallback.load_yaml):
+            got = _outcome(loader, text)
+            if isinstance(expected, str):
+                assert got == expected, text[:60]
+            else:  # safe_load's bare ValueError on 2001-13-45 is load_yaml's YAMLError
+                assert isinstance(got, yaml.YAMLError), (text[:60], expected, got)
