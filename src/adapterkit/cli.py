@@ -250,8 +250,8 @@ def cmd_pack(args):
     entry = hub.ingest_metadata(card)
     entry.sha256 = package_io.pack_archive(zip_path, args.package, embedded)
     if args.card:
-        Path(args.card).write_text(yaml.safe_dump(entry.to_dict(), sort_keys=True),
-                                   encoding="utf-8")
+        package_io._atomic_write_bytes(
+            args.card, [yaml.safe_dump(entry.to_dict(), sort_keys=True).encode("utf-8")])
     _emit({"archive": str(zip_path), "sha256": entry.sha256, "card": entry.to_dict()})
     return EXIT_OK
 
@@ -283,7 +283,7 @@ def cmd_index(args):
             except MetadataError as exc:
                 raise MetadataError([f"{f}: {v}" for v in exc.violations]) from None
     text = hub.build_index(entries)
-    Path(args.out).write_text(text, encoding="utf-8")
+    package_io._atomic_write_bytes(args.out, [text.encode("utf-8")])
     _emit({"out": str(args.out), "entries": len(entries)})
     return EXIT_OK
 

@@ -273,7 +273,7 @@ def _download(url):
                 chunks.append(chunk)
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise TransportError(f"fetch failed for {url}: {exc}") from None
-    return b"".join(chunks)
+    return chunks
 
 
 def fetch(url, sha256, cache_dir=None):
@@ -292,12 +292,15 @@ def fetch(url, sha256, cache_dir=None):
         if hashlib.sha256(dest.read_bytes()).hexdigest() == sha256:
             return dest, False
         dest.unlink()  # self-heal a corrupted cache file
-    data = _download(url)
-    actual = hashlib.sha256(data).hexdigest()
+    chunks = _download(url)
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    actual = h.hexdigest()
     if actual != sha256:
         raise ChecksumError(
             f"downloaded archive digest {actual[:12]}... does not match expected {sha256[:12]}...")
-    package_io._atomic_write_bytes(dest, data)
+    package_io._atomic_write_bytes(dest, chunks)
     return dest, True
 
 

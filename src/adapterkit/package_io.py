@@ -26,6 +26,8 @@ The writers hold themselves to the same rules: each renders its header, reads
 it back as a reader would, and writes only the tensors of exactly the layout
 that header declares, so a file is refused when it is written, never first
 when it is read. The archive writer likewise reads its rendered metadata back.
+A writer holds one copy of the payload, each tensor converted once to its
+stored dtype, and hashes exactly the bytes it then writes from those copies.
 
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
@@ -65,12 +67,14 @@ ARCHIVE_METADATA = "metadata.yaml"
 _ARCHIVE_MEMBERS = (ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA)  # in the order written
 
 
-def _atomic_write_bytes(path, data):
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+def _atomic_write_bytes(path, chunks):
+    """Write ``chunks``, a list of bytes-like objects in file order, via a sibling temp file
+    and rename, so readers never see a torn file."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -119,16 +123,19 @@ def _write_container(path, fields, model_config, adapter_config, named_arrays):
     layout = list(_declared_layout(*_read_header(header, kind, dtype)))
     if [(name, arr.shape) for name, arr in named_arrays] != layout:
         raise PackageFormatError(f"{kind} tensors do not match the layout their header declares")
-    raws = [np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes() for _, arr in named_arrays]
-    manifest, _ = _manifest_text(layout, dtype, [hashlib.sha256(raw).hexdigest() for raw in raws])
+    # private copies: a caller changing a tensor during the save cannot split hash and file
+    arrays = [np.array(arr, dtype=_DTYPES[dtype], order="C") for _, arr in named_arrays]
+    manifest, _ = _manifest_text(layout, dtype, [hashlib.sha256(a).hexdigest() for a in arrays])
     hb = header.encode("utf-8")
     mb = manifest.encode("utf-8")
-    body = b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hb)), hb,
-                     struct.pack("<Q", len(mb)), mb, *raws])
-    h = hashlib.sha256(body)
-    trailer = h.digest()
-    _atomic_write_bytes(path, body + trailer)
-    h.update(trailer)
+    chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hb)), hb, struct.pack("<Q", len(mb)), mb,
+              *arrays]
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    chunks.append(h.digest())
+    _atomic_write_bytes(path, chunks)
+    h.update(chunks[-1])
     return h.hexdigest()
 
 
@@ -382,7 +389,7 @@ def pack_archive(zip_path, package_path, metadata):
         raise PackageFormatError(f"archive metadata has no YAML form: {exc}") from None
     _read_metadata(metadata_bytes)
     data = _archive_bytes(package_bytes, parse_adapter_package(package_bytes), metadata_bytes)
-    _atomic_write_bytes(zip_path, data)
+    _atomic_write_bytes(zip_path, [data])
     return hashlib.sha256(data).hexdigest()
 
 

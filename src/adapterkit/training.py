@@ -5,12 +5,14 @@ initialization, and every update are driven by seeded generators, so two
 runs with the same inputs produce bit-identical weights and logs.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import backbone as bb
 from .codec import as_count
 from .errors import GradientError
 
@@ -319,6 +321,18 @@ def run_training(model, sequences, labels, config, adapter_name=None,
         raise ValueError("dev_sequences and dev_labels come together or not at all")
     if dev_sequences is not None:
         _split_labels(dev_sequences, dev_labels, "dev_labels")
+    # refuse bad token ids before the mode switch below changes the stack or what trains
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    batches = _batches(len(sequences), config.batch_size, rng)
+    if config.max_steps * config.batch_size >= len(sequences):
+        used = sequences
+    else:  # less than one pass: check only the batches the steps will draw
+        steps = list(itertools.islice(batches, config.max_steps))
+        batches = iter(steps)
+        used = [sequences[i] for i in np.unique(np.concatenate(steps))]
+    bb._packed_ids(model.config, used)
+    if dev_sequences is not None:
+        bb._packed_ids(model.config, dev_sequences)
     if config.mode == "adapter_only":
         if adapter_name is None and not model.active_adapters:
             raise ValueError("adapter_only mode needs adapter_name or an active stack")
@@ -330,8 +344,6 @@ def run_training(model, sequences, labels, config, adapter_name=None,
 
     params = [t for _, t, _ in model.named_parameters() if t.requires_grad]
     optimizer = Adam(params, lr=config.resolved_learning_rate())
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    batches = _batches(len(sequences), config.batch_size, rng)
 
     result = TrainResult(mode=config.mode, steps=config.max_steps)
     for _, idx in zip(range(config.max_steps), batches):

@@ -223,6 +223,45 @@ def test_index_rejects_bad_cards_with_file_context(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_index_and_card_outputs_survive_a_failed_write(tmp_path, capsys, monkeypatch, tiny_config):
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    out = tmp_path / "index.json"
+
+    def add_card(name):
+        (cards / f"{name}.yaml").write_text(
+            f"adapter_id: {name}\nadapter_type: text_task\nlevel2: toy\n"
+            f"level3: {name}\nmodel_type: mini-bert\n"
+            f"model_config_hash: {'a' * 64}\nadapter_config_hash: {'b' * 64}\n"
+            f"url: file:///tmp/{name}.zip\nsha256: {'c' * 64}\n", encoding="utf-8")
+
+    add_card("sst-2")
+    assert main(["index", "--cards", str(cards), "--out", str(out)]) == 0
+    index = out.read_bytes()
+    add_card("sts-b")  # the refused index would list both cards
+    model = AdapterModel(tiny_config, seed=1)
+    model.add_adapter("probe", reduction_factor=2)
+    model.save_adapter("probe", tmp_path / "probe.pkg")
+    card = tmp_path / "card.yaml"
+    card.write_bytes(b"kept")
+
+    replace = os.replace
+
+    def refuse(src, dst):  # as if the disk filled up before the rename
+        if Path(dst).name in ("index.json", "card.yaml"):
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["index", "--cards", str(cards), "--out", str(out)]) == 3
+    assert main(["pack", "--package", str(tmp_path / "probe.pkg"), "--out", str(tmp_path / "probe.zip"),
+                 "--adapter-id", "probe", "--level2", "toy", "--level3", "probe",
+                 "--card", str(card)]) == 3
+    capsys.readouterr()
+    assert out.read_bytes() == index and card.read_bytes() == b"kept"
+    assert not list(tmp_path.glob("*.tmp-*"))
+
+
 def test_search_failure_modes(tmp_path, capsys):
     cards = tmp_path / "cards"
     cards.mkdir()

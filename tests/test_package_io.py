@@ -148,6 +148,24 @@ def test_concurrent_saves_to_one_path(tmp_path, tiny_config):
     assert [p.name for p in tmp_path.iterdir()] == ["shared.pkg"]
 
 
+def test_saves_hold_one_stored_copy_of_the_payload(tmp_path):
+    """A save's memory peak stays near the file size: no whole-payload byte copies."""
+    config = ModelConfig(hidden_size=256, num_layers=2, num_heads=4, ffn_size=512,
+                         vocab_size=64, max_seq_len=8)
+    entry = _random_entry(config, preset("houlsby", 2), seed=18)
+    weights = init_backbone(config, np.random.default_rng(18))
+    for path, save in ((tmp_path / "a.pkg", lambda p: pio.save_adapter_package(p, config, entry)),
+                       (tmp_path / "b.ckpt", lambda p: pio.save_backbone_checkpoint(p, config, weights))):
+        tracemalloc.start()
+        try:
+            save(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 2**20 and peak <= 1.25 * size, (path.name, size, peak)
+
+
 def test_expected_tensor_order_matches_entry(tiny_config):
     for config in (preset("pfeiffer", 2), preset("houlsby", 4), preset("bapna", 2)):
         entry = _random_entry(tiny_config, config, seed=7)

@@ -400,14 +400,49 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
             ("adapter_only", "task", labels, (seqs[:4], [0.0, 1.0, 1.0, 0.0]), ShapeMismatchError),
             ("adapter_only", "task", labels, (seqs[:4], [True, False, True, False]), ShapeMismatchError),
             ("adapter_only", "task", labels, ([], []), ValueError),
+            ("adapter_only", "task", labels, ([[1, 99]] + seqs[1:4], labels[:4]), ShapeMismatchError),
+            ("full_finetune", None, labels, ([[1, 2.5]] + seqs[1:4], labels[:4]), ShapeMismatchError),
             ("adapter_only", None, labels, dev, ValueError)):  # empty stack
         with pytest.raises(fault):
             run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=50), adapter_name=name,
                          dev_sequences=dev_x, dev_labels=dev_y)
         assert state() == before
+    # token ids of the split: checked over the whole split when the steps make a pass over it,
+    # otherwise over the batches the steps draw
+    for bad in ([-1, 2], [3, 64], [1.0, 2], [], [1] * 9):
+        for mode, name, steps in (("adapter_only", "task", 50), ("full_finetune", None, 1)):
+            with pytest.raises(ShapeMismatchError):
+                run_training(model, [bad] * len(seqs), labels,
+                             TrainConfig(mode=mode, max_steps=steps, batch_size=4), adapter_name=name)
+            assert state() == before
     run_training(model, seqs, np.array(labels, np.uint8), TrainConfig(max_steps=1), adapter_name="task",
                  dev_sequences=dev[0], dev_labels=[np.int64(y) for y in dev[1]])
     assert state() != before
+
+
+def test_out_of_range_token_ids_leave_the_stack_alone(tiny_config):
+    model = AdapterModel(tiny_config, seed=0)
+    model.add_adapter("a", reduction_factor=2)
+    with pytest.raises(ShapeMismatchError, match="token id 99 out of range"):
+        run_training(model, [[1, 2], [3, 99]], [0, 1], TrainConfig(max_steps=3), adapter_name="a")
+    assert model.active_adapters == []
+    assert not any(t.requires_grad for _, t in model.get_adapter("a").named_tensors())
+
+    # fewer steps than one pass: the sequences the steps draw are checked, and only those
+    seqs, labels = _toy_data()
+    config = TrainConfig(max_steps=3, batch_size=4)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    drawn = [idx for _, idx in zip(range(3), tr._batches(len(seqs), 4, rng))]
+    undrawn = sorted(set(range(len(seqs))) - set(np.concatenate(drawn)))[0]
+
+    def bad_id_at(at):
+        return [[1, 99] if i == at else seq for i, seq in enumerate(seqs)]
+
+    model.add_head("cls", 2)
+    with pytest.raises(ShapeMismatchError):
+        run_training(model, bad_id_at(drawn[-1][-1]), labels, config, adapter_name="a")
+    assert model.active_adapters == []
+    run_training(model, bad_id_at(undrawn), labels, config, adapter_name="a")  # never encoded
 
 
 def test_adapter_only_leaves_base_untouched(tiny_config):
