@@ -321,16 +321,11 @@ def run_training(model, sequences, labels, config, adapter_name=None,
         raise ValueError("dev_sequences and dev_labels come together or not at all")
     if dev_sequences is not None:
         _split_labels(dev_sequences, dev_labels, "dev_labels")
-    # refuse bad token ids before the mode switch below changes the stack or what trains
+    # draw every step's batch up front and refuse bad token ids in them (and in the dev split)
+    # before the mode switch below changes the stack or what trains
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    batches = _batches(len(sequences), config.batch_size, rng)
-    if config.max_steps * config.batch_size >= len(sequences):
-        used = sequences
-    else:  # less than one pass: check only the batches the steps will draw
-        steps = list(itertools.islice(batches, config.max_steps))
-        batches = iter(steps)
-        used = [sequences[i] for i in np.unique(np.concatenate(steps))]
-    bb._packed_ids(model.config, used)
+    steps = list(itertools.islice(_batches(len(sequences), config.batch_size, rng), config.max_steps))
+    bb._packed_ids(model.config, [sequences[i] for i in np.unique(np.concatenate(steps))])
     if dev_sequences is not None:
         bb._packed_ids(model.config, dev_sequences)
     if config.mode == "adapter_only":
@@ -346,7 +341,7 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     optimizer = Adam(params, lr=config.resolved_learning_rate())
 
     result = TrainResult(mode=config.mode, steps=config.max_steps)
-    for _, idx in zip(range(config.max_steps), batches):
+    for idx in steps:
         batch_seqs = [sequences[i] for i in idx]
         batch_labels = labels_arr[idx]
         with ad.Tape():

@@ -407,8 +407,7 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
             run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=50), adapter_name=name,
                          dev_sequences=dev_x, dev_labels=dev_y)
         assert state() == before
-    # token ids of the split: checked over the whole split when the steps make a pass over it,
-    # otherwise over the batches the steps draw
+    # token ids of the split: checked over the batches the steps draw, for one step and for many
     for bad in ([-1, 2], [3, 64], [1.0, 2], [], [1] * 9):
         for mode, name, steps in (("adapter_only", "task", 50), ("full_finetune", None, 1)):
             with pytest.raises(ShapeMismatchError):
@@ -428,21 +427,24 @@ def test_out_of_range_token_ids_leave_the_stack_alone(tiny_config):
     assert model.active_adapters == []
     assert not any(t.requires_grad for _, t in model.get_adapter("a").named_tensors())
 
-    # fewer steps than one pass: the sequences the steps draw are checked, and only those
+    # the sequences the steps draw are checked, and only those: with fewer steps than one pass,
+    # and with more, where the indices left over at a reshuffle are never drawn
     seqs, labels = _toy_data()
-    config = TrainConfig(max_steps=3, batch_size=4)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    drawn = [idx for _, idx in zip(range(3), tr._batches(len(seqs), 4, rng))]
-    undrawn = sorted(set(range(len(seqs))) - set(np.concatenate(drawn)))[0]
 
     def bad_id_at(at):
         return [[1, 99] if i == at else seq for i, seq in enumerate(seqs)]
 
     model.add_head("cls", 2)
-    with pytest.raises(ShapeMismatchError):
-        run_training(model, bad_id_at(drawn[-1][-1]), labels, config, adapter_name="a")
-    assert model.active_adapters == []
-    run_training(model, bad_id_at(undrawn), labels, config, adapter_name="a")  # never encoded
+    for batch_size in (4, 12):
+        config = TrainConfig(max_steps=3, batch_size=batch_size)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        drawn = [idx for _, idx in zip(range(3), tr._batches(len(seqs), batch_size, rng))]
+        undrawn = sorted(set(range(len(seqs))) - set(np.concatenate(drawn)))[0]
+        model.set_active_adapters([])
+        with pytest.raises(ShapeMismatchError):
+            run_training(model, bad_id_at(drawn[-1][-1]), labels, config, adapter_name="a")
+        assert model.active_adapters == []
+        run_training(model, bad_id_at(undrawn), labels, config, adapter_name="a")  # never encoded
 
 
 def test_adapter_only_leaves_base_untouched(tiny_config):
