@@ -288,10 +288,12 @@ def fetch(url, sha256, cache_dir=None):
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     dest = cache / f"{sha256}.zip"
-    if dest.exists():
-        if hashlib.sha256(dest.read_bytes()).hexdigest() == sha256:
+    try:
+        if package_io.file_sha256(dest) == sha256:
             return dest, False
-        dest.unlink()  # self-heal a corrupted cache file
+        dest.unlink(missing_ok=True)  # self-heal a corrupted cache file
+    except FileNotFoundError:
+        pass  # not cached, or removed by another thread or process since
     chunks = _download(url)
     h = hashlib.sha256()
     for chunk in chunks:

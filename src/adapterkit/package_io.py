@@ -27,12 +27,15 @@ it back as a reader would, and writes only the tensors of exactly the layout
 that header declares, so a file is refused when it is written, never first
 when it is read. The archive writer likewise reads its rendered metadata back.
 A writer holds one copy of the payload, each tensor converted once to its
-stored dtype, and hashes exactly the bytes it then writes from those copies.
+stored dtype, and hashes exactly the bytes it then writes from those copies
+into a temp file, preallocated when it replaces a file and renamed over the
+target without an ``fsync`` (see :func:`_atomic_write_bytes`).
 
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
 """
 
+import errno
 import hashlib
 import io
 import itertools
@@ -67,13 +70,35 @@ ARCHIVE_METADATA = "metadata.yaml"
 _ARCHIVE_MEMBERS = (ARCHIVE_PACKAGE, ARCHIVE_CONFIG, ARCHIVE_METADATA)  # in the order written
 
 
+_HASH_BUFFER = 1 << 20
+_FALLOCATE_UNSUPPORTED = (errno.EOPNOTSUPP, errno.ENOSYS, errno.EINVAL)
+
+
 def _atomic_write_bytes(path, chunks):
-    """Write ``chunks``, a list of bytes-like objects in file order, via a sibling temp file
-    and rename, so readers never see a torn file."""
+    """Write ``chunks``, a list of bytes-like objects in file order, to ``path`` atomically.
+
+    The bytes go into a sibling temp file that is then renamed over ``path``, so a reader
+    sees the old file or the new one, never a torn one. When ``path`` exists, the temp file
+    is first preallocated to its final size: ext4 writes a file with delayed-allocation
+    blocks back inside the ``rename`` that replaces another (``auto_da_alloc``), about 3 ms
+    of a 3.6 MB save, while a rename to a new name writes nothing back and preallocating
+    would only cost block allocation. Preallocation is a hint, skipped where the file system
+    does not support it; any other error (``ENOSPC``) fails the write and removes the temp
+    file. There is no ``fsync``, so the write is not durable: after a crash soon after a
+    save, ``path`` can read as zeros, which every reader refuses by its magic or checksum.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
+    size = sum(memoryview(c).nbytes for c in chunks)
+    fallocate = getattr(os, "posix_fallocate", None) if os.path.lexists(path) else None
     try:
         with open(tmp, "wb") as f:
+            if size and fallocate is not None:
+                try:
+                    fallocate(f.fileno(), 0, size)
+                except OSError as exc:
+                    if exc.errno not in _FALLOCATE_UNSUPPORTED:
+                        raise
             f.writelines(chunks)
         os.replace(tmp, path)
     finally:
@@ -82,7 +107,14 @@ def _atomic_write_bytes(path, chunks):
 
 
 def file_sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 hex digest of a file, read through one buffer of at most 1 MiB."""
+    h = hashlib.sha256()
+    with open(path, "rb", buffering=0) as f:
+        buf = bytearray(min(os.fstat(f.fileno()).st_size, _HASH_BUFFER))
+        view = memoryview(buf)
+        while n := f.readinto(buf):
+            h.update(view[:n])
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

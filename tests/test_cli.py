@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -223,22 +224,23 @@ def test_index_rejects_bad_cards_with_file_context(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _write_card(cards, name):
+    (cards / f"{name}.yaml").write_text(
+        f"adapter_id: {name}\nadapter_type: text_task\nlevel2: toy\n"
+        f"level3: {name}\nmodel_type: mini-bert\n"
+        f"model_config_hash: {'a' * 64}\nadapter_config_hash: {'b' * 64}\n"
+        f"url: file:///tmp/{name}.zip\nsha256: {'c' * 64}\n", encoding="utf-8")
+
+
 def test_index_and_card_outputs_survive_a_failed_write(tmp_path, capsys, monkeypatch, tiny_config):
     cards = tmp_path / "cards"
     cards.mkdir()
     out = tmp_path / "index.json"
 
-    def add_card(name):
-        (cards / f"{name}.yaml").write_text(
-            f"adapter_id: {name}\nadapter_type: text_task\nlevel2: toy\n"
-            f"level3: {name}\nmodel_type: mini-bert\n"
-            f"model_config_hash: {'a' * 64}\nadapter_config_hash: {'b' * 64}\n"
-            f"url: file:///tmp/{name}.zip\nsha256: {'c' * 64}\n", encoding="utf-8")
-
-    add_card("sst-2")
+    _write_card(cards, "sst-2")
     assert main(["index", "--cards", str(cards), "--out", str(out)]) == 0
     index = out.read_bytes()
-    add_card("sts-b")  # the refused index would list both cards
+    _write_card(cards, "sts-b")  # the refused index would list both cards
     model = AdapterModel(tiny_config, seed=1)
     model.add_adapter("probe", reduction_factor=2)
     model.save_adapter("probe", tmp_path / "probe.pkg")
@@ -259,6 +261,25 @@ def test_index_and_card_outputs_survive_a_failed_write(tmp_path, capsys, monkeyp
                  "--card", str(card)]) == 3
     capsys.readouterr()
     assert out.read_bytes() == index and card.read_bytes() == b"kept"
+    assert not list(tmp_path.glob("*.tmp-*"))
+
+
+def test_index_output_survives_a_failed_preallocation(tmp_path, capsys, monkeypatch):
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    out = tmp_path / "index.json"
+    _write_card(cards, "sst-2")
+    assert main(["index", "--cards", str(cards), "--out", str(out)]) == 0
+    index = out.read_bytes()
+    _write_card(cards, "sts-b")
+
+    def no_space(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    assert main(["index", "--cards", str(cards), "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert out.read_bytes() == index
     assert not list(tmp_path.glob("*.tmp-*"))
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from adapterkit import hub
+from adapterkit import hub, package_io
 from adapterkit.adapters import AdapterConfig
 from adapterkit.errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                                MetadataError, RegistryError, TransportError)
@@ -205,6 +207,53 @@ def test_fetch_self_heals_corrupt_cache(tmp_path):
     path, downloaded = hub.fetch(src.as_uri(), sha, cache_dir=cache)
     assert downloaded
     assert path.read_bytes() == payload
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_fetch_survives_a_cache_file_that_vanishes(tmp_path, monkeypatch, when):
+    """Another thread or process removes the corrupt cache file just before or after it is read."""
+    payload = b"good data"
+    src = tmp_path / "src.zip"
+    src.write_bytes(payload)
+    sha = hashlib.sha256(payload).hexdigest()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    dest = cache / f"{sha}.zip"
+    dest.write_bytes(b"rotten")
+
+    def vanishing(read):
+        def wrapper(path, *args):
+            if Path(path) == dest and when == "before":
+                dest.unlink()
+            result = read(path, *args)
+            if Path(path) == dest and when == "after":
+                dest.unlink()
+            return result
+        return wrapper
+
+    monkeypatch.setattr(Path, "read_bytes", vanishing(Path.read_bytes))
+    monkeypatch.setattr(package_io, "file_sha256", vanishing(package_io.file_sha256))
+    path, downloaded = hub.fetch(src.as_uri(), sha, cache_dir=cache)
+    assert downloaded and path == dest
+    monkeypatch.undo()
+    assert path.read_bytes() == payload
+
+
+def test_fetch_hashes_a_cache_hit_in_bounded_memory(tmp_path):
+    payload = np.random.default_rng(3).bytes(4 * 2**20 + 7)
+    src = tmp_path / "src.zip"
+    src.write_bytes(payload)
+    sha = hashlib.sha256(payload).hexdigest()
+    cache = tmp_path / "cache"
+    hub.fetch(src.as_uri(), sha, cache_dir=cache)
+    tracemalloc.start()
+    try:
+        path, downloaded = hub.fetch(src.as_uri(), sha, cache_dir=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not downloaded and path.read_bytes() == payload
+    assert peak <= 2**20 + 2**16, peak
 
 
 def test_fetch_checksum_and_transport_errors(tmp_path):

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 import sys
 import tracemalloc
 import zipfile
@@ -164,6 +166,73 @@ def test_saves_hold_one_stored_copy_of_the_payload(tmp_path):
             tracemalloc.stop()
         size = path.stat().st_size
         assert size >= 2**20 and peak <= 1.25 * size, (path.name, size, peak)
+
+
+def _fallocate_raising(code):
+    def fallocate(fd, offset, size):
+        raise OSError(code, os.strerror(code))
+    return fallocate
+
+
+def test_replacing_save_preallocates_the_final_size(tmp_path, tiny_config, monkeypatch):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=21)
+    path = tmp_path / "probe.pkg"
+    calls = []
+    fallocate = os.posix_fallocate
+
+    def spy(fd, offset, size):
+        calls.append((offset, size))
+        fallocate(fd, offset, size)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    pio.save_adapter_package(path, tiny_config, entry)  # a new name: nothing to write back
+    assert calls == []
+    pio.save_adapter_package(path, tiny_config, entry)  # over the existing package
+    assert calls == [(0, path.stat().st_size)]
+
+
+def test_failed_preallocation_keeps_the_earlier_file(tmp_path, tiny_config, monkeypatch):
+    path = tmp_path / "probe.pkg"
+    pio.save_adapter_package(path, tiny_config, _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=22))
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "posix_fallocate", _fallocate_raising(errno.ENOSPC))
+    other = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=23)
+    with pytest.raises(OSError) as info:
+        pio.save_adapter_package(path, tiny_config, other)
+    assert info.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["probe.pkg"]
+
+
+@pytest.mark.parametrize("mode", ["missing", errno.EOPNOTSUPP, errno.ENOSYS, errno.EINVAL])
+def test_saves_without_preallocation_write_the_same_bytes(tmp_path, tiny_config, monkeypatch, mode):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=24)
+    pio.save_adapter_package(tmp_path / "normal.pkg", tiny_config, entry)
+    if mode == "missing":
+        monkeypatch.delattr(os, "posix_fallocate")
+    else:
+        monkeypatch.setattr(os, "posix_fallocate", _fallocate_raising(mode))
+    path = tmp_path / "fallback.pkg"
+    for _ in range(2):  # a new file, then one over it
+        pio.save_adapter_package(path, tiny_config, entry)
+        assert path.read_bytes() == (tmp_path / "normal.pkg").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fallback.pkg", "normal.pkg"]
+
+
+def test_file_sha256_reads_through_one_bounded_buffer(tmp_path):
+    rng = np.random.default_rng(25)
+    for size, bound in ((5 * 2**20 + 3, 2**20 + 2**16), (10_000, 10_000 + 2**16), (0, 2**16)):
+        data = rng.bytes(size)
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = pio.file_sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak <= bound, (size, peak)
 
 
 def test_expected_tensor_order_matches_entry(tiny_config):
