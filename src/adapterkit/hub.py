@@ -259,8 +259,10 @@ def default_cache_dir():
     return Path.home() / ".cache" / "adapterkit"
 
 
-def _download(url):
-    chunks, size = [], 0
+def _download(url, sha256):
+    """Yield the body at ``url`` chunk by chunk, hashed as it passes, then raise
+    :class:`ChecksumError` if its SHA-256 is not ``sha256``, so a writer drops the mismatch."""
+    h, size = hashlib.sha256(), 0
     try:
         scheme = urlsplit(url).scheme
         if scheme not in _URL_SCHEMES:
@@ -270,18 +272,22 @@ def _download(url):
                 size += len(chunk)
                 if size > DOWNLOAD_MAX_BYTES:
                     raise TransportError(f"{url} is larger than {DOWNLOAD_MAX_BYTES} bytes")
-                chunks.append(chunk)
+                h.update(chunk)
+                yield chunk
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise TransportError(f"fetch failed for {url}: {exc}") from None
-    return chunks
+    actual = h.hexdigest()
+    if actual != sha256:
+        raise ChecksumError(
+            f"downloaded archive digest {actual[:12]}... does not match expected {sha256[:12]}...")
 
 
 def fetch(url, sha256, cache_dir=None):
     """Download an archive into the content-addressed cache.
 
-    The cache key is the expected sha256, so a file already present (and
-    still matching) is returned without touching the network. Returns
-    ``(path, downloaded)``.
+    The cache key is the expected sha256, so a file already present (and still matching)
+    is returned without touching the network. A download is hashed as it is written, and
+    one that does not match never reaches the cache. Returns ``(path, downloaded)``.
     """
     if not _HEX64.match(sha256 or ""):
         raise ChecksumError(f"expected sha256 must be 64 hex characters, got {sha256!r}")
@@ -294,15 +300,7 @@ def fetch(url, sha256, cache_dir=None):
         dest.unlink(missing_ok=True)  # self-heal a corrupted cache file
     except FileNotFoundError:
         pass  # not cached, or removed by another thread or process since
-    chunks = _download(url)
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    actual = h.hexdigest()
-    if actual != sha256:
-        raise ChecksumError(
-            f"downloaded archive digest {actual[:12]}... does not match expected {sha256[:12]}...")
-    package_io._atomic_write_bytes(dest, chunks)
+    package_io._atomic_write_bytes(dest, _download(url, sha256))
     return dest, True
 
 

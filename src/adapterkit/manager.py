@@ -8,6 +8,7 @@ the adapters.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ class PredictionHead:
         yield "b", self.b
 
 
+def _check_layout(what, named_tensors, layout):
+    """Raise :class:`ShapeMismatchError` unless ``named_tensors`` gives ``layout``'s (name, shape) pairs."""
+    shapes = ((name, t.shape) for name, t in named_tensors)
+    for got, need in itertools.zip_longest(shapes, layout, fillvalue="nothing"):
+        if got != need:
+            raise ShapeMismatchError(f"{what} has {got} where this model needs {need}")
+
+
 def _digest(named_tensors):
     h = hashlib.sha256()
     for name, t in named_tensors:
@@ -89,6 +98,7 @@ class AdapterModel:
         self._seed_root = np.random.SeedSequence(as_count(seed, "seed"))
         if weights is None:
             weights = bb.init_backbone(config, np.random.default_rng(self._seed_root.spawn(1)[0]))
+        _check_layout("backbone", weights.named_tensors(), bb.backbone_layout(config))
         self.weights = weights
         self._adapters = {}
         self._heads = {}
@@ -111,6 +121,8 @@ class AdapterModel:
         validate_identity(entry.name, entry.adapter_type)
         if entry.name in self._adapters:
             raise ValueError(f"adapter {entry.name!r} already registered")
+        _check_layout(f"adapter {entry.name!r}", entry.named_tensors(),
+                      adapter_layout(self.config, entry.config))
         self._adapters[entry.name] = entry
         return entry
 
@@ -153,10 +165,8 @@ class AdapterModel:
         validate_name(head.name)
         if head.name in self._heads and not replace:
             raise ValueError(f"head {head.name!r} already registered")
-        shapes = [(name, t.shape) for name, t in head.named_tensors()]
-        if shapes != head_layout(self.config.hidden_size, head.num_labels):
-            raise ShapeMismatchError(f"head shapes {shapes} do not fit hidden_size "
-                                     f"{self.config.hidden_size} and {head.num_labels} labels")
+        _check_layout(f"head {head.name!r}", head.named_tensors(),
+                      head_layout(self.config.hidden_size, head.num_labels))
         self._heads[head.name] = head
         if self.active_head is None:
             self.active_head = head.name

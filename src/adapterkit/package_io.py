@@ -28,8 +28,10 @@ that header declares, so a file is refused when it is written, never first
 when it is read. The archive writer likewise reads its rendered metadata back.
 A writer holds one copy of the payload, each tensor converted once to its
 stored dtype, and hashes exactly the bytes it then writes from those copies
-into a temp file, preallocated when it replaces a file and renamed over the
-target without an ``fsync`` (see :func:`_atomic_write_bytes`).
+into a temp file renamed over the target without an ``fsync``. That one writer,
+:func:`_atomic_write_bytes`, takes any iterable of chunks. It lists them only
+to preallocate a file it replaces and otherwise streams them, as it does a hub
+download, hashed chunk by chunk on its way into the cache.
 
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
@@ -75,25 +77,26 @@ _FALLOCATE_UNSUPPORTED = (errno.EOPNOTSUPP, errno.ENOSYS, errno.EINVAL)
 
 
 def _atomic_write_bytes(path, chunks):
-    """Write ``chunks``, a list of bytes-like objects in file order, to ``path`` atomically.
+    """Write ``chunks``, any iterable of bytes-like objects in file order, to ``path`` atomically.
 
     The bytes go into a sibling temp file that is then renamed over ``path``, so a reader
-    sees the old file or the new one, never a torn one. When ``path`` exists, the temp file
-    is first preallocated to its final size: ext4 writes a file with delayed-allocation
-    blocks back inside the ``rename`` that replaces another (``auto_da_alloc``), about 3 ms
-    of a 3.6 MB save, while a rename to a new name writes nothing back and preallocating
-    would only cost block allocation. Preallocation is a hint, skipped where the file system
-    does not support it; any other error (``ENOSPC``) fails the write and removes the temp
-    file. There is no ``fsync``, so the write is not durable: after a crash soon after a
-    save, ``path`` can read as zeros, which every reader refuses by its magic or checksum.
+    sees the old file or the new one, never a torn one; an error while the chunks are drawn
+    or written removes the temp file. Only when ``path`` exists are the chunks listed first,
+    to preallocate the temp file to their total: ext4 writes delayed-allocation blocks back
+    inside a ``rename`` that replaces a file (``auto_da_alloc``), about 3 ms of a 3.6 MB save,
+    while a write to a new name streams and its rename writes nothing back. Preallocation is
+    a hint, skipped where the file system lacks it; any other error (``ENOSPC``) fails the
+    write. There is no ``fsync``: after a crash soon after a write, ``path`` can read as
+    zeros, which every reader refuses by its magic or checksum.
     """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
-    size = sum(memoryview(c).nbytes for c in chunks)
     fallocate = getattr(os, "posix_fallocate", None) if os.path.lexists(path) else None
+    if fallocate is not None:
+        chunks = list(chunks)  # the one case that needs the total size before the first write
     try:
         with open(tmp, "wb") as f:
-            if size and fallocate is not None:
+            if fallocate is not None and (size := sum(memoryview(c).nbytes for c in chunks)):
                 try:
                     fallocate(f.fileno(), 0, size)
                 except OSError as exc:

@@ -256,18 +256,36 @@ def test_fetch_hashes_a_cache_hit_in_bounded_memory(tmp_path):
     assert peak <= 2**20 + 2**16, peak
 
 
+def test_cold_fetch_streams_the_download_in_bounded_memory(tmp_path):
+    """A download goes through its hash into the cache a chunk at a time, never held whole."""
+    payload = np.random.default_rng(4).bytes(8 * 2**20 + 7)
+    src = tmp_path / "src.zip"
+    src.write_bytes(payload)
+    sha = hashlib.sha256(payload).hexdigest()
+    tracemalloc.start()
+    try:
+        path, downloaded = hub.fetch(src.as_uri(), sha, cache_dir=tmp_path / "cache")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert downloaded and path.read_bytes() == payload
+    assert peak < 3 * 2**20, peak
+
+
 def test_fetch_checksum_and_transport_errors(tmp_path):
     src = tmp_path / "src.zip"
     src.write_bytes(b"data")
     with pytest.raises(ChecksumError):
         hub.fetch(src.as_uri(), "f" * 64, cache_dir=tmp_path / "c1")
+    assert list((tmp_path / "c1").iterdir()) == []  # neither the archive nor a temp file
     with pytest.raises(ChecksumError):
         hub.fetch(src.as_uri(), "short", cache_dir=tmp_path / "c2")
     missing = tmp_path / "missing.zip"
     with pytest.raises(TransportError):
         hub.fetch(missing.as_uri(), "a" * 64, cache_dir=tmp_path / "c3")
-    with pytest.raises(TransportError):
-        hub._download("ftp://mirror/x.zip")
+    with pytest.raises(TransportError, match="unsupported url scheme 'ftp'"):
+        hub.fetch("ftp://mirror/x.zip", "a" * 64, cache_dir=tmp_path / "c4")
+    assert [list(c.iterdir()) for c in (tmp_path / "c3", tmp_path / "c4")] == [[], []]
 
 
 def test_fetch_is_bounded_in_time_and_size(tmp_path, monkeypatch):
@@ -326,6 +344,7 @@ def test_fetch_http_hits_server_once(tmp_path):
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 def test_default_cache_dir_env_override(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import adapterkit.autodiff as ad
 from adapterkit import package_io
 from adapterkit.adapters import AdapterConfig, count_adapter_params, preset, resolve_config
 from adapterkit.errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
-from adapterkit.manager import AdapterModel, PredictionHead
+from adapterkit.backbone import init_backbone
+from adapterkit.manager import AdapterModel, PredictionHead, new_adapter_entry
 
 
 def test_add_and_list_adapters(tiny_model):
@@ -119,6 +122,34 @@ def test_install_head_refuses_heads_no_package_reader_accepts(tiny_model, tmp_pa
     tiny_model.add_head("cls", 2)  # a head that installs also loads back from its package
     tiny_model.save_adapter("a", tmp_path / "a.pkg", with_head="cls")
     assert package_io.load_adapter_package(tmp_path / "a.pkg").head[:2] == ("cls", 2)
+
+
+# a backbone or adapter must have the (name, shape) layout a package reader would demand
+
+
+def test_model_refuses_a_backbone_with_more_layers(tiny_config):
+    weights = init_backbone(dataclasses.replace(tiny_config, num_layers=2), np.random.default_rng(0))
+    with pytest.raises(ShapeMismatchError, match="layer1"):
+        AdapterModel(tiny_config, weights=weights)
+
+
+def test_model_refuses_a_backbone_with_fewer_layers(tiny_config):
+    weights = init_backbone(tiny_config, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatchError, match="layer1"):
+        AdapterModel(dataclasses.replace(tiny_config, num_layers=2), weights=weights)
+
+
+def test_install_adapter_refuses_one_built_for_another_backbone(tiny_config):
+    two_layers = dataclasses.replace(tiny_config, num_layers=2)
+    model = AdapterModel(two_layers, seed=1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeMismatchError, match="layer1"):
+        model.install_adapter(new_adapter_entry(tiny_config, "a", "text_task", preset("pfeiffer", 2), rng))
+    assert model.list_adapters() == []
+    model.install_adapter(new_adapter_entry(two_layers, "a", "text_task", preset("pfeiffer", 2), rng))
+    model.add_head("cls", 2)
+    model.set_active_adapters("a")
+    assert len(model.predict([[1, 2, 3]])) == 1
 
 
 def test_set_active_adapters_validates(tiny_model):

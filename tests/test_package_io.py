@@ -189,6 +189,15 @@ def test_replacing_save_preallocates_the_final_size(tmp_path, tiny_config, monke
     assert calls == []
     pio.save_adapter_package(path, tiny_config, entry)  # over the existing package
     assert calls == [(0, path.stat().st_size)]
+    chunks = [b"abc", bytearray(b"defg"), memoryview(b"hi")]
+    listed, streamed = tmp_path / "listed", tmp_path / "streamed"
+    for target in (listed, streamed):
+        target.write_bytes(b"old")
+    calls.clear()
+    pio._atomic_write_bytes(listed, chunks)
+    pio._atomic_write_bytes(streamed, (c for c in chunks))  # drawn once, but summed first
+    assert calls == [(0, 9), (0, 9)]
+    assert streamed.read_bytes() == listed.read_bytes() == b"abcdefghi"
 
 
 def test_failed_preallocation_keeps_the_earlier_file(tmp_path, tiny_config, monkeypatch):
