@@ -3,14 +3,15 @@
 The primitive set is what the batched transformer encoder and the adapter
 training loop need: ``linear`` (``x @ w`` plus a bias on every row),
 ``add_norm`` (layer normalization of a residual sum), ``layer_norm``,
-``add``, four activations, embedding lookup, masked multi-head attention
-over packed rows (queries from every row or from each sequence's first row
-only; context only: the probabilities stay in its backward rule), and two
-losses. ``matmul`` and ``add_bias``, which ``linear`` fuses,
-and ``scale``, ``softmax_rows``, ``transpose``, ``slice_cols``,
-``concat_cols`` and ``stack_rows`` are off the encoder's path; they remain,
-with ``mean_pool_first`` (which ``encode`` uses), because the benchmark's
-tracer wraps them by name.
+``add``, four activations, embedding lookup, multi-head attention over
+packed rows (queries from every row or from each sequence's first row
+only; context only: the probabilities stay in its backward rule; rows are
+padded and masked only when the lengths differ, a gap-free batch is
+attended as a view of the packed rows), and two losses. ``matmul`` and
+``add_bias``, which ``linear`` fuses, and ``scale``, ``softmax_rows``,
+``transpose``, ``slice_cols``, ``concat_cols`` and ``stack_rows`` are off
+the encoder's path; they remain, with ``mean_pool_first`` (which ``encode``
+uses), because the benchmark's tracer wraps them by name.
 
 Gradients are recorded on an explicit :class:`Tape`. A primitive appends a
 record only while a tape is active *and* at least one input is tracked
@@ -450,9 +451,14 @@ def attention(q, k, v, lengths, num_heads):
     ``k`` and ``v`` hold the rows of ``len(lengths)`` sequences back to
     back. ``q`` holds either the same rows (every position queries) or one
     row per sequence, its first position; with every length 1 the two are
-    the same. Each query attends only to its own sequence's keys: the rows
-    are padded by index to ``(batch, heads, longest, head_dim)``, and the
-    scores of padded keys are set to -inf before the row-max shift. Returns
+    the same. Each query attends only to its own sequence's keys. When
+    every length is the same, the packed rows already lie as
+    ``(batch, longest, heads, head_dim)`` and are attended as a view of
+    themselves, with no mask. Ragged lengths are padded by index to
+    ``(batch, heads, longest, head_dim)``, and the scores of padded keys are
+    set to -inf before the row-max shift. Pooled queries always take a
+    padded 2-row block. Either way the softmax runs in place in the one
+    score buffer, and the bits are those of padding every batch. Returns
     one packed context row per query row; the probabilities stay inside the
     backward rule, which returns ``dq`` in ``q``'s packing.
     """
@@ -471,8 +477,10 @@ def attention(q, k, v, lengths, num_heads):
     if width % num_heads:
         raise ShapeMismatchError(f"attention: width {width} not divisible by {num_heads} heads")
     longest, d = int(lengths.max()), width // num_heads
-    starts = np.cumsum(lengths) - lengths
-    rows = np.arange(total) + np.repeat(np.arange(batch) * longest - starts, lengths)
+    rows = None  # gap-free: the packed rows already have the padded layout
+    if total != batch * longest:
+        starts = np.cumsum(lengths) - lengths
+        rows = np.arange(total) + np.repeat(np.arange(batch) * longest - starts, lengths)
     if q.shape[0] == total:
         q_rows, q_len = rows, longest
     else:
@@ -481,24 +489,37 @@ def attention(q, k, v, lengths, num_heads):
         q_rows, q_len = np.arange(batch) * 2, 2
 
     def pad(x, rows=rows, n=longest):
-        out = np.zeros((batch * n, width))
-        out[rows] = x
-        return out.reshape(batch, n, num_heads, d).transpose(0, 2, 1, 3)
+        if rows is None:
+            x = np.ascontiguousarray(x)  # a strided x would hand BLAS other strides, and other bits
+        else:
+            out = np.zeros((batch * n, width))
+            out[rows] = x
+            x = out
+        return x.reshape(batch, n, num_heads, d).transpose(0, 2, 1, 3)
 
     def unpad(x, rows=rows, n=longest):
-        return x.transpose(0, 2, 1, 3).reshape(batch * n, width)[rows]
+        x = x.transpose(0, 2, 1, 3).reshape(batch * n, width)
+        return x if rows is None else x[rows]
 
     factor = 1.0 / np.sqrt(d)
-    q_p, k_p, v_p = pad(q.data, q_rows, q_len), pad(k.data), pad(v.data)
-    padded_key = (np.arange(longest) >= lengths[:, None])[:, None, None, :]
-    scores = np.where(padded_key, -np.inf, (q_p @ k_p.transpose(0, 1, 3, 2)) * factor)
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    probs = e / e.sum(axis=3, keepdims=True)
+    q_data = q.data
+    if q_rows is None and np.may_share_memory(q_data, k.data):
+        q_data = q_data.copy()  # numpy computes x @ x.T with syrk, whose bits differ from gemm's
+    q_p, k_p, v_p = pad(q_data, q_rows, q_len), pad(k.data), pad(v.data)
+    probs = q_p @ k_p.transpose(0, 1, 3, 2)  # the scores, turned into probabilities in place
+    probs *= factor
+    if rows is not None:
+        np.copyto(probs, -np.inf, where=(np.arange(longest) >= lengths[:, None])[:, None, None, :])
+    probs -= probs.max(axis=3, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=3, keepdims=True)
 
     def backward_fn(g, needs):
         g_p = pad(g, q_rows, q_len)
-        d_probs = g_p @ v_p.transpose(0, 1, 3, 2)
-        d_scores = factor * (probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)))
+        d_scores = g_p @ v_p.transpose(0, 1, 3, 2)  # d_probs, turned into d_scores in place
+        d_scores -= (d_scores * probs).sum(axis=3, keepdims=True)
+        d_scores *= probs
+        d_scores *= factor
         return [unpad(d_scores @ k_p, q_rows, q_len), unpad(d_scores.transpose(0, 1, 3, 2) @ q_p),
                 unpad(probs.transpose(0, 1, 3, 2) @ g_p)]
 

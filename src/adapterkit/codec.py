@@ -23,6 +23,7 @@ nesting deeper than ``MAX_YAML_DEPTH``.
 import hashlib
 import numbers
 from dataclasses import fields
+from functools import cached_property
 
 import yaml
 
@@ -74,7 +75,10 @@ def read_pairs(lines):
 
 
 class Descriptor:
-    """Descriptor text, hash and parser for a frozen config dataclass."""
+    """Descriptor text, hash and parser for a frozen config dataclass.
+
+    The text and its hash are made once per instance, on first use, and kept in its
+    ``__dict__``; a pickle or copy holds the fields alone, as the dataclass's own would."""
 
     def __post_init__(self):
         """Each field holds exactly its declared type (``bool`` is no ``int``, an ``int`` no
@@ -88,10 +92,21 @@ class Descriptor:
 
     def descriptor(self):
         """Canonical flat key=value text; its hash identifies the architecture."""
-        return write_pairs((f.name, getattr(self, f.name)) for f in fields(self))
+        return self._descriptor
 
     def config_hash(self):
-        return hashlib.sha256(self.descriptor().encode("utf-8")).hexdigest()
+        return self._config_hash
+
+    @cached_property
+    def _descriptor(self):
+        return write_pairs((f.name, getattr(self, f.name)) for f in fields(self))
+
+    @cached_property
+    def _config_hash(self):
+        return hashlib.sha256(self._descriptor.encode("utf-8")).hexdigest()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_descriptor", "_config_hash")}
 
     @classmethod
     def parse(cls, text):

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import re
+import time
 import urllib.error
 import urllib.request
 from dataclasses import MISSING, dataclass, fields
@@ -34,8 +35,9 @@ INDEX_FORMAT = "adapterkit-hub-index"
 INDEX_VERSION = 1
 CACHE_ENV_VAR = "ADAPTERKIT_CACHE"
 DOWNLOAD_TIMEOUT_S = 60  # per blocking socket operation, so a stalled mirror cannot hang a fetch
+DOWNLOAD_DEADLINE_S = 600  # for the whole fetch, so a mirror that drip-feeds bytes cannot hang it
 DOWNLOAD_MAX_BYTES = 1 << 30
-_DOWNLOAD_CHUNK = 1 << 20  # read() allocates its size argument up front, so never ask for the cap
+_DOWNLOAD_CHUNK = 1 << 20  # read1() allocates its size argument up front, so never ask for the cap
 
 _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _ID_PATTERN = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
@@ -261,17 +263,21 @@ def default_cache_dir():
 
 def _download(url, sha256):
     """Yield the body at ``url`` chunk by chunk, hashed as it passes, then raise
-    :class:`ChecksumError` if its SHA-256 is not ``sha256``, so a writer drops the mismatch."""
+    :class:`ChecksumError` if its SHA-256 is not ``sha256``, so a writer drops the mismatch.
+    A body that is still arriving ``DOWNLOAD_DEADLINE_S`` after the start raises :class:`TransportError`."""
     h, size = hashlib.sha256(), 0
+    deadline = time.monotonic() + DOWNLOAD_DEADLINE_S
     try:
         scheme = urlsplit(url).scheme
         if scheme not in _URL_SCHEMES:
             raise TransportError(f"unsupported url scheme {scheme!r}")
         with urllib.request.urlopen(url, timeout=DOWNLOAD_TIMEOUT_S) as resp:
-            while chunk := resp.read(_DOWNLOAD_CHUNK):
+            while chunk := resp.read1(_DOWNLOAD_CHUNK):  # what one socket read gives, not a full chunk
                 size += len(chunk)
                 if size > DOWNLOAD_MAX_BYTES:
                     raise TransportError(f"{url} is larger than {DOWNLOAD_MAX_BYTES} bytes")
+                if time.monotonic() > deadline:
+                    raise TransportError(f"{url} took longer than {DOWNLOAD_DEADLINE_S} s")
                 h.update(chunk)
                 yield chunk
     except (urllib.error.URLError, OSError, ValueError) as exc:

@@ -468,6 +468,76 @@ def test_fd_attention_ragged_lengths():
     _fd(lambda t: loss(q, k, t), v)
 
 
+def test_fd_attention_equal_lengths():
+    rng = np.random.default_rng(31)
+    lengths = [3, 3]
+    q, k, v = (ad.tensor(rng.standard_normal((6, 4))) for _ in range(3))
+    w = rng.standard_normal((6, 4))  # weights every context row differently
+
+    def loss(q, k, v):
+        return ad.mean_squared_error(ad.attention(q, k, v, lengths, 2), w)
+
+    _fd(lambda t: loss(t, k, v), q)
+    _fd(lambda t: loss(q, t, v), k)
+    _fd(lambda t: loss(q, k, t), v)
+
+
+def _padded_attention(q, k, v, lengths, num_heads, g):
+    """Reference: every batch padded by index to ``(batch, heads, longest, head_dim)`` and
+    masked, the softmax out of place. Returns the context and dq, dk, dv for upstream ``g``."""
+    lengths = np.asarray(lengths)
+    (total, width), batch = k.shape, lengths.size
+    longest, d = int(lengths.max()), width // num_heads
+    starts = np.cumsum(lengths) - lengths
+    rows = np.arange(total) + np.repeat(np.arange(batch) * longest - starts, lengths)
+    q_rows, q_len = (rows, longest) if q.shape[0] == total else (np.arange(batch) * 2, 2)
+
+    def pad(x, rows=rows, n=longest):
+        out = np.zeros((batch * n, width))
+        out[rows] = x
+        return out.reshape(batch, n, num_heads, d).transpose(0, 2, 1, 3)
+
+    def unpad(x, rows=rows, n=longest):
+        return x.transpose(0, 2, 1, 3).reshape(batch * n, width)[rows]
+
+    factor = 1.0 / np.sqrt(d)
+    q_p, k_p, v_p, g_p = pad(q, q_rows, q_len), pad(k), pad(v), pad(g, q_rows, q_len)
+    padded_key = (np.arange(longest) >= lengths[:, None])[:, None, None, :]
+    scores = np.where(padded_key, -np.inf, (q_p @ k_p.transpose(0, 1, 3, 2)) * factor)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    probs = e / e.sum(axis=3, keepdims=True)
+    d_probs = g_p @ v_p.transpose(0, 1, 3, 2)
+    d_scores = factor * (probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True)))
+    return (unpad(probs @ v_p, q_rows, q_len), unpad(d_scores @ k_p, q_rows, q_len),
+            unpad(d_scores.transpose(0, 1, 3, 2) @ q_p), unpad(probs.transpose(0, 1, 3, 2) @ g_p))
+
+
+def test_attention_is_bitwise_the_padded_formula():
+    """Gap-free batches skip the padding and the mask; context and gradients keep every bit."""
+    rng = np.random.default_rng(30)
+    ragged = [3, 1, 5, 2, 1, 7]
+    cases = [([16] * 16, 64, 4, "every row"), ([1], 64, 4, "every row"), ([7], 64, 4, "every row"),
+             ([32], 64, 4, "every row"), ([1] * 5, 8, 2, "every row"), ([9] * 4, 64, 4, "first rows"),
+             ([22] * 6, 4, 4, "q transposed"), ([12] * 3, 8, 2, "q is k"),
+             (ragged, 8, 2, "every row"), (ragged, 8, 2, "first rows")]
+    for lengths, width, heads, queries in cases:
+        total = sum(lengths)
+        q, k, v = (ad.tensor(rng.standard_normal((total, width)), requires_grad=True) for _ in range(3))
+        if queries == "first rows":
+            q = ad.tensor(q.data[np.cumsum(lengths) - lengths], requires_grad=True)
+        elif queries == "q transposed":  # a strided view, as a column-major array gives
+            q.data = np.asfortranarray(q.data)
+        elif queries == "q is k":  # numpy would compute q @ k.T with syrk, not gemm
+            k = q
+        g = rng.standard_normal(q.shape)
+        with ad.Tape() as tape:
+            ctx = ad.attention(q, k, v, lengths, heads)
+            grads = tape.records[-1].backward_fn(g, (True, True, True))
+        want = _padded_attention(q.data, k.data, v.data, lengths, heads, g)
+        for got, ref in zip([ctx.data, *grads], want):
+            assert np.array_equal(got, ref), (lengths, queries)
+
+
 def test_pooled_query_attention_is_the_first_rows_of_all_query_attention():
     """One query per sequence gives, bit for bit, the first rows that every position's queries give."""
     rng = np.random.default_rng(27)

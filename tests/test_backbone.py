@@ -1,7 +1,12 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 import adapterkit.autodiff as ad
+from adapterkit import codec
 from adapterkit.adapters import PRESET_NAMES, AdapterConfig, init_layer_weights, preset
 from adapterkit.backbone import (ModelConfig, apply_layer, count_backbone_params,
                                  encode, encode_batch, init_backbone)
@@ -91,6 +96,23 @@ def test_model_descriptor_round_trip_and_hash():
     for bad in junk:
         with pytest.raises(ValueError):
             ModelConfig.parse(bad)
+
+
+def test_descriptor_and_hash_are_made_once_per_config(monkeypatch):
+    cfg = ModelConfig(num_layers=3)
+    fresh = pickle.dumps(cfg)
+    text, digest = cfg.descriptor(), cfg.config_hash()
+    calls = []
+    write_pairs = codec.write_pairs
+    monkeypatch.setattr(codec, "write_pairs", lambda pairs: calls.append(1) or write_pairs(pairs))
+    assert (cfg.descriptor(), cfg.config_hash()) == (text, digest) and calls == []
+    assert ModelConfig(num_layers=3).config_hash() == digest and len(calls) == 1
+    # the memo is no field: equality, hash, replace, pickles and copies see the fields alone
+    assert cfg == ModelConfig(num_layers=3) and hash(cfg) == hash(ModelConfig(num_layers=3))
+    assert dataclasses.replace(cfg, num_layers=2).config_hash() == ModelConfig().config_hash()
+    assert pickle.dumps(cfg) == fresh
+    for again in (pickle.loads(fresh), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert again == cfg and again.config_hash() == digest
 
 
 def test_backbone_param_count_matches_enumeration(desk_config):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import threading
+import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -345,6 +346,56 @@ def test_fetch_http_hits_server_once(tmp_path):
         server.shutdown()
         thread.join()
         server.server_close()
+
+
+def test_fetch_is_bounded_in_wall_time(tmp_path, monkeypatch):
+    """A mirror that sends one byte every 0.2 s beats every socket timeout, but not the deadline."""
+    payload = b"a 20-byte slow body."
+    stop = threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            try:
+                for byte in payload:
+                    if stop.wait(0.2):
+                        return
+                    self.wfile.write(bytes([byte]))
+            except OSError:  # the client hung up
+                pass
+
+        def log_message(self, *args):
+            pass
+
+    try:
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+    except OSError:
+        pytest.skip("cannot bind a localhost socket here")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setattr(hub, "DOWNLOAD_DEADLINE_S", 0.5)
+    monkeypatch.setattr(hub, "DOWNLOAD_TIMEOUT_S", 1.0)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    earlier = cache / f"{'c' * 64}.zip"
+    earlier.write_bytes(b"an earlier download")
+    before = earlier.stat()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}/slow.zip"
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="took longer than 0.5 s"):
+            hub.fetch(url, hashlib.sha256(payload).hexdigest(), cache_dir=cache)
+        assert time.monotonic() - started < hub.DOWNLOAD_DEADLINE_S + hub.DOWNLOAD_TIMEOUT_S
+    finally:
+        stop.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+    assert list(cache.iterdir()) == [earlier]  # no archive and no .tmp- file
+    assert earlier.read_bytes() == b"an earlier download"
+    assert (earlier.stat().st_mtime_ns, earlier.stat().st_ino) == (before.st_mtime_ns, before.st_ino)
 
 
 def test_default_cache_dir_env_override(tmp_path, monkeypatch):
