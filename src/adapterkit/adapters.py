@@ -163,10 +163,13 @@ class AdapterLayerWeights:
     ln_after_beta: ad.Tensor | None = None
 
     def named_tensors(self):
-        for f in fields(self):
-            t = getattr(self, f.name)
+        for name in self._FIELD_NAMES:
+            t = getattr(self, name)
             if t is not None:
-                yield f.name, t
+                yield name, t
+
+
+AdapterLayerWeights._FIELD_NAMES = tuple(f.name for f in fields(AdapterLayerWeights))
 
 
 def point_layout(hidden_size, config):
@@ -182,9 +185,12 @@ def point_layout(hidden_size, config):
 
 def qualify(num_layers, config, per_point):
     """Each layer's and point's ``per_point(i, point)`` (name, value) pairs as ``layer{i}.{point}.{name}``."""
+    points = config.insertion_points()
     for i in range(num_layers):
-        for point in config.insertion_points():
-            yield from ((f"layer{i}.{point}.{name}", value) for name, value in per_point(i, point))
+        for point in points:
+            prefix = f"layer{i}.{point}."
+            for name, value in per_point(i, point):
+                yield prefix + name, value
 
 
 def adapter_layout(model_config, config):

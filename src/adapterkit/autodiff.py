@@ -34,8 +34,18 @@ Conventions:
   single counts and seeds pass :func:`~adapterkit.codec.as_count`
 - layer_norm maps a row with variance below epsilon to all-zero normalized
   values, i.e. the output is beta on that row (no division blowup)
-- gelu is the exact Gaussian-CDF form ``x * Phi(x)``, so gelu'(0) = 0.5
+- gelu is the exact Gaussian-CDF form ``x * Phi(x)``, so gelu'(0) = 0.5.
+  erf runs on ``|x| / sqrt 2`` and the sign of x is copied back: scipy's
+  erf is odd bit for bit (it returns ``-erf(-z)`` for negative z; a test
+  pins it) and ``|x| * c`` is exactly ``|x * c|``, so the bits are those
+  of ``erf(x / sqrt 2)``, without erf's branch on the sign, which inputs
+  of mixed sign mispredict
 - swish is ``x * sigmoid(x)``
+- a kernel writes only into arrays it allocated itself: never into an
+  input's data, the incoming gradient (``add``'s backward hands one array
+  to both inputs) or an array a backward rule keeps. Its in-place chains
+  keep the out-of-place formula's operations in their order; only the
+  operands of ``+`` and ``*`` swap, which IEEE arithmetic leaves exact
 """
 
 import contextvars
@@ -250,21 +260,39 @@ def relu(x):
 def gelu(x):
     """Exact-CDF gelu: x * Phi(x) with Phi the standard normal CDF."""
     x_data = x.data
-    cdf = 0.5 * (1.0 + erf(x_data * _INV_SQRT2))
+    cdf = np.abs(x_data)  # erf on |x|, the sign restored: the bits of 0.5 * (1.0 + erf(x / sqrt 2))
+    cdf *= _INV_SQRT2
+    erf(cdf, out=cdf)
+    np.copysign(cdf, x_data, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward_fn(g, needs):
-        pdf = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
-        return [g * (cdf + x_data * pdf)]
+        dx = x_data * -0.5  # exp(-0.5 * x * x) / sqrt(2 pi), then cdf + x * pdf, then g * that
+        dx *= x_data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x_data
+        dx += cdf
+        dx *= g
+        return [dx]
 
     return _finish("gelu", [x], x_data * cdf, backward_fn)
 
 
 def swish(x):
     x_data = x.data
-    sig = 1.0 / (1.0 + np.exp(-x_data))
+    sig = np.negative(x_data)  # 1.0 / (1.0 + exp(-x))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
 
     def backward_fn(g, needs):
-        return [g * (sig + x_data * sig * (1.0 - sig))]
+        dx = x_data * sig  # g * (sig + x * sig * (1.0 - sig))
+        dx *= np.subtract(1.0, sig)
+        dx += sig
+        dx *= g
+        return [dx]
 
     return _finish("swish", [x], x_data * sig, backward_fn)
 
@@ -273,7 +301,10 @@ def tanh(x):
     t = np.tanh(x.data)
 
     def backward_fn(g, needs):
-        return [g * (1.0 - t * t)]
+        dx = t * t  # g * (1.0 - t * t)
+        np.subtract(1.0, dx, out=dx)
+        dx *= g
+        return [dx]
 
     return _finish("tanh", [x], t, backward_fn)
 
@@ -308,24 +339,29 @@ def _normalize(kind, x_data, gamma, beta, epsilon):
         raise ShapeMismatchError(
             f"{kind}: x {x_data.shape} with gamma {gamma.shape}, beta {beta.shape}"
         )
-    centered = x_data - x_data.mean(axis=1, keepdims=True)
-    var = (centered * centered).sum(axis=1, keepdims=True) / n  # the bits of np.var
+    x_hat = x_data - x_data.mean(axis=1, keepdims=True)  # centered, scaled in place below
+    out = x_hat * x_hat
+    var = out.sum(axis=1, keepdims=True) / n  # the bits of np.var
     live = var >= epsilon
     inv_std = np.where(live, 1.0 / np.sqrt(var + epsilon), 0.0)
-    x_hat = centered * inv_std  # zero on constant (dead) rows
+    x_hat *= inv_std  # zero on constant (dead) rows
     gamma_data = gamma.data
-    out = x_hat * gamma_data + beta.data
+    np.multiply(x_hat, gamma_data, out=out)
+    out += beta.data
 
     def backward_fn(g, needs):
-        dx = dgamma = dbeta = None
+        dx = dgamma = dbeta = buf = None
         if needs[0]:
-            dx_hat = g * gamma_data
+            dx = g * gamma_data  # dx_hat, turned into dx in place
             # per-row: dx = inv_std * (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat))
-            m1 = dx_hat.mean(axis=1, keepdims=True)
-            m2 = (dx_hat * x_hat).mean(axis=1, keepdims=True)
-            dx = inv_std * (dx_hat - m1 - x_hat * m2)
+            m1 = dx.mean(axis=1, keepdims=True)
+            buf = dx * x_hat
+            m2 = buf.mean(axis=1, keepdims=True)
+            dx -= m1
+            dx -= np.multiply(x_hat, m2, out=buf)
+            dx *= inv_std
         if needs[1]:
-            dgamma = (g * x_hat).sum(axis=0)
+            dgamma = np.multiply(g, x_hat, out=buf).sum(axis=0)
         if needs[2]:
             dbeta = g.sum(axis=0)
         return [dx, dgamma, dbeta]

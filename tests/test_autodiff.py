@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -536,6 +537,133 @@ def test_attention_is_bitwise_the_padded_formula():
         want = _padded_attention(q.data, k.data, v.data, lengths, heads, g)
         for got, ref in zip([ctx.data, *grads], want):
             assert np.array_equal(got, ref), (lengths, queries)
+
+
+# ---------------------------------------------------------------------------
+# elementwise kernels: every bit of the out-of-place formulas
+
+
+def _bits(a):
+    """The raw 64-bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _ref_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * cdf, [g * (cdf + x * pdf)]
+
+
+def _ref_swish(x, g):
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, [g * (sig + x * sig * (1.0 - sig))]
+
+
+def _ref_tanh(x, g):
+    t = np.tanh(x)
+    return t, [g * (1.0 - t * t)]
+
+
+def _ref_layer_norm(x, gamma, beta, eps, g):
+    centered = x - x.mean(axis=1, keepdims=True)
+    var = (centered * centered).sum(axis=1, keepdims=True) / x.shape[1]
+    inv_std = np.where(var >= eps, 1.0 / np.sqrt(var + eps), 0.0)
+    x_hat = centered * inv_std
+    dx_hat = g * gamma
+    m1 = dx_hat.mean(axis=1, keepdims=True)
+    m2 = (dx_hat * x_hat).mean(axis=1, keepdims=True)
+    return x_hat * gamma + beta, [inv_std * (dx_hat - m1 - x_hat * m2), (g * x_hat).sum(axis=0), g.sum(axis=0)]
+
+
+def _ref_add_norm(a, b, gamma, beta, eps, g):
+    out, (dx, dgamma, dbeta) = _ref_layer_norm(a + b, gamma, beta, eps, g)
+    return out, [dx, dx, dgamma, dbeta]
+
+
+def _kernel_cases(rng, order):
+    """(name, primitive, input arrays, reference) over both signs, +-0.0, subnormals, |x / sqrt 2| > 1
+    (erf's erfc branch) and constant (dead) layer-norm rows, in C or Fortran order."""
+    x = rng.standard_normal((40, 48)) * 2.0
+    x[0, :11] = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.5, -1.5, 5.0, -5.0, -30.0]
+    x[1:4] = [[7.0], [0.0], [-3.0]]
+    x[4] = 1.0 + 1e-9 * rng.standard_normal(48)  # variance below epsilon: dead as well
+    a = rng.standard_normal(x.shape)
+    a[1:5] = 0.5  # keeps those rows of x + a dead
+    gamma, beta = rng.standard_normal(48) + 1.0, rng.standard_normal(48)
+    x, a = np.asarray(x, order=order), np.asarray(a, order=order)
+    eps = 1e-12
+    return [("gelu", ad.gelu, [x], _ref_gelu), ("swish", ad.swish, [x], _ref_swish),
+            ("tanh", ad.tanh, [x], _ref_tanh),
+            ("layer_norm", lambda *t: ad.layer_norm(*t, eps), [x, gamma, beta],
+             lambda *v: _ref_layer_norm(*v[:-1], eps, v[-1])),
+            ("add_norm", lambda *t: ad.add_norm(*t, eps), [x, a, gamma, beta],
+             lambda *v: _ref_add_norm(*v[:-1], eps, v[-1]))]
+
+
+def _leaves(arrays, needs):
+    """Tensors holding exactly ``arrays`` (a Fortran-order array stays Fortran-order)."""
+    tensors = [ad.tensor(v, requires_grad=n) for v, n in zip(arrays, needs)]
+    for t, v in zip(tensors, arrays):
+        t.data = v
+    return tensors
+
+
+def test_elementwise_kernels_are_bitwise_the_reference_formulas():
+    """The in-place kernels keep every bit, and the memory order, of the out-of-place formulas:
+    the output and every gradient, for each pattern of tracked inputs."""
+    rng = np.random.default_rng(31)
+    for order in ("C", "F"):
+        for name, fn, arrays, ref in _kernel_cases(rng, order):
+            g = np.asarray(rng.standard_normal(arrays[0].shape), order=order)
+            g[0, :2] = [0.0, -0.0]
+            want_out, want_grads = ref(*arrays, g)
+            for needs in itertools.product((False, True), repeat=len(arrays)):
+                if not any(needs):
+                    continue
+                with ad.Tape() as tape:
+                    out = fn(*_leaves(arrays, needs))
+                    grads = tape.records[-1].backward_fn(g, needs)
+                assert np.array_equal(_bits(out.data), _bits(want_out)), (name, order)
+                assert out.data.strides == want_out.strides, (name, order)
+                for need, got, want in zip(needs, grads, want_grads):
+                    if need:
+                        assert np.array_equal(_bits(got), _bits(want)), (name, order, needs)
+
+
+def test_scipy_erf_is_odd_bit_for_bit():
+    """gelu evaluates erf on |x| and copies the sign of x back; that keeps every bit only
+    while ``erf(-z)`` is exactly ``-erf(z)``, from 1e-300 to 30 and at +-0.0."""
+    rng = np.random.default_rng(32)
+    magnitude = 10.0 ** rng.uniform(-300.0, np.log10(30.0), 500_000)
+    z = np.concatenate([magnitude, -magnitude, [0.0, -0.0, 5e-324, -5e-324, 30.0, -30.0]])
+    assert np.array_equal(_bits(np.copysign(erf(np.abs(z)), z)), _bits(erf(z)))
+
+
+def test_elementwise_kernels_write_only_into_their_own_buffers():
+    """Forward and backward leave every input, the output and the incoming gradient as they were,
+    also when ``add``'s backward hands one gradient array to two consumers."""
+    rng = np.random.default_rng(33)
+    for name, fn, arrays, _ in _kernel_cases(rng, "C"):
+        needs = (True,) * len(arrays)
+        first, second = _leaves(arrays, needs), _leaves([v.copy() for v in arrays], needs)
+        first[0].data = first[0].data + 0.25
+        inputs = [t.data.copy() for t in first + second]
+        with ad.Tape() as tape:
+            outs = fn(*first), fn(*second)
+            out_data = [y.data.copy() for y in outs]
+            grads = ad.backward(ad.mean_squared_error(ad.add(*outs), rng.standard_normal(arrays[0].shape)))
+            g = tape.records[-1].backward_fn(np.asarray(1.0), (True,))[0]  # what add hands to both
+        g_before = g.copy()
+        # a rule run again on an untouched g gives what the sweep gave: neither the shared g nor
+        # the arrays the rules keep were written into
+        for rec, leaves in zip(tape.records[:2], (first, second)):
+            for t, want in zip(leaves, rec.backward_fn(g, needs)):
+                assert np.array_equal(_bits(grads[t]), _bits(want)), name
+        assert np.array_equal(_bits(g), _bits(g_before)), name
+        for t, before in zip(first + second, inputs):
+            assert np.array_equal(_bits(t.data), _bits(before)), name
+        for y, before in zip(outs, out_data):
+            assert np.array_equal(_bits(y.data), _bits(before)), name
 
 
 def test_pooled_query_attention_is_the_first_rows_of_all_query_attention():
