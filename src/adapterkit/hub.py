@@ -20,6 +20,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import MISSING, dataclass, fields
+from itertools import pairwise
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -146,17 +147,21 @@ def ingest_metadata(source):
 # index
 
 
+def _unique(rows):
+    """``rows``, refused when two share an (adapter_id, model_config_hash), the index's key."""
+    for a, b in pairwise(sorted((e.adapter_id, e.model_config_hash) for e in rows)):
+        if a == b:
+            raise RegistryError(f"duplicate index entry: {a[0]} for model hash {a[1][:12]}...")
+    return rows
+
+
 def build_index(entries):
     """Serialize entries into canonical JSON text.
 
     Entries sort by (adapter_id, model_config_hash); the same set in any
     input order yields byte-identical text. The same pair twice is an error.
     """
-    rows = sorted(entries, key=lambda e: (e.adapter_id, e.model_config_hash))
-    for a, b in zip(rows, rows[1:]):
-        if (a.adapter_id, a.model_config_hash) == (b.adapter_id, b.model_config_hash):
-            raise RegistryError(
-                f"duplicate index entry: {a.adapter_id} for model hash {a.model_config_hash[:12]}...")
+    rows = _unique(sorted(entries, key=lambda e: (e.adapter_id, e.model_config_hash)))
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -166,7 +171,7 @@ def build_index(entries):
 
 
 def parse_index(text):
-    """Load index JSON back into validated entries."""
+    """Load index JSON back into validated entries, no (adapter_id, model_config_hash) twice."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -179,7 +184,7 @@ def parse_index(text):
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise RegistryError("index entries must be a list of JSON objects")
     try:
-        return [ingest_metadata(row) for row in rows]
+        return _unique([ingest_metadata(row) for row in rows])
     except MetadataError as exc:
         raise RegistryError(f"index contains an invalid entry: {exc}") from None
 

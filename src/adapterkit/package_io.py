@@ -9,18 +9,20 @@ Container layout (all integers little-endian):
     blob    tensor payloads back to back, row-major, in manifest order
     sha256  32 raw bytes over everything above
 
-The header carries the package kind, identity fields, dtype, the full
-embedded model (and adapter) configuration descriptors, and their hashes.
-Those fix the exact ordered (name, shape) layout of the payload: the
-backbone's table for a checkpoint, the adapter's table (plus ``head.w`` and
-``head.b`` shaped by ``head_num_labels``) for an adapter package. Each
-manifest line is ``name shape offset nbytes sha256`` for one tensor, with
-offsets relative to the blob start; every field but the digest follows
-from the layout and the dtype. A reader therefore takes only the digests
-from the stored manifest, renders the manifest the writer would have
-written for the declared layout, and rejects any other text, so no size
-or offset in a file is ever trusted. Any single flipped byte in the file
-is caught by the trailing digest or by a per-tensor digest.
+The header carries the package kind, identity fields, dtype, the full embedded model
+(and adapter) configuration descriptors, and their hashes. A reader takes from its
+flat fields only a writer's choices (an adapter's name, type, ``trained`` flag and
+head), derives every other field from the kind and the configurations, and accepts
+only the header a writer renders from those. The configurations fix the exact
+ordered (name, shape) layout of the payload: the backbone's table for a checkpoint,
+the adapter's table (plus ``head.w`` and ``head.b`` shaped by ``head_num_labels``)
+for an adapter package. Each manifest line is ``name shape offset nbytes sha256``
+for one tensor, with offsets relative to the blob start; every field but the digest
+follows from the layout and the dtype. A reader therefore takes only the digests
+from the stored manifest, renders the manifest the writer would have written for the
+declared layout, and rejects any other text, so no size or offset in a file is ever
+trusted. Any single flipped byte in the file is caught by the trailing digest or by
+a per-tensor digest.
 
 The writers hold themselves to the same rules: each renders its header, reads
 it back as a reader would, and writes only the tensors of exactly the layout
@@ -55,7 +57,7 @@ import yaml
 from . import adapters as adp
 from . import autodiff as ad
 from . import backbone as bb
-from .codec import load_yaml, read_pairs, read_value, write_pairs
+from .codec import as_count, load_yaml, read_pairs, read_value, write_pairs
 from .errors import ChecksumError, PackageFormatError
 
 MAGIC = b"ADPK"
@@ -124,6 +126,19 @@ def file_sha256(path):
 # the container: one writer, one reader
 
 
+def _header_fields(model_config, adapter_config=None, name="backbone", adapter_type=None,
+                   trained=False, head_name=None, head_num_labels=None):
+    """The flat fields a header holds, in order: a checkpoint's without ``adapter_config``,
+    an adapter package's with it, ``head_name`` and ``head_num_labels`` when a head is bundled."""
+    if adapter_config is None:
+        return {"version": FORMAT_VERSION, "kind": "backbone", "name": name, "dtype": "f64",
+                "model_config_hash": model_config.config_hash()}
+    head = {} if head_name is None else {"head_name": head_name, "head_num_labels": head_num_labels}
+    return {"version": FORMAT_VERSION, "kind": "adapter", "name": name, "adapter_type": adapter_type,
+            "trained": trained, "dtype": "f32", "model_config_hash": model_config.config_hash(),
+            "adapter_config_hash": adapter_config.config_hash(), **head}
+
+
 def _header_text(fields, model_config, adapter_config=None):
     """Banner, flat key=value fields, then the embedded config descriptors."""
     text = f"{_BANNER}\n{write_pairs(fields.items())}{_MODEL_SECTION}\n{model_config.descriptor()}"
@@ -155,7 +170,7 @@ def _write_container(path, fields, model_config, adapter_config, named_arrays):
     layout its header, read back, declares; returns the sha256 hex digest of the file."""
     kind, dtype = fields["kind"], fields["dtype"]
     header = _header_text(fields, model_config, adapter_config)
-    layout = list(_declared_layout(*_read_header(header, kind, dtype)))
+    layout = list(_declared_layout(*_read_header(header, kind)))
     if [(name, arr.shape) for name, arr in named_arrays] != layout:
         raise PackageFormatError(f"{kind} tensors do not match the layout their header declares")
     # private copies: a caller changing a tensor during the save cannot split hash and file
@@ -174,12 +189,13 @@ def _write_container(path, fields, model_config, adapter_config, named_arrays):
     return h.hexdigest()
 
 
-def _read_header(text, kind, dtype):
+def _read_header(text, kind):
     """Header text -> (flat fields, model config, adapter config or None).
 
-    Checks the package kind, the dtype, each embedded config against its
-    recorded hash, and that the text is exactly what :func:`_header_text`
-    writes for what was read.
+    Reads from the flat pairs only what a writer chooses (an adapter's name, type, ``trained``
+    and head; ``kind`` only to word the wrong-kind error), checks each as the registry does,
+    derives every other field with :func:`_header_fields` and accepts only the text
+    :func:`_header_text` renders from them. ``trained`` comes back a bool, ``head_num_labels`` an int.
     """
     banner, _, rest = text.partition("\n")
     if banner != _BANNER:
@@ -187,20 +203,29 @@ def _read_header(text, kind, dtype):
     flat, _, configs = rest.partition(f"{_MODEL_SECTION}\n")
     model_text, _, adapter_text = configs.partition(f"{_ADAPTER_SECTION}\n")
     try:
-        fields = read_pairs(flat.splitlines())
-        if fields.get("kind") != kind:
-            raise PackageFormatError(f"not a {kind} package (kind={fields.get('kind')!r})")
-        if fields.get("dtype") != dtype:
-            raise PackageFormatError(f"{kind} packages must be {dtype}, got {fields.get('dtype')!r}")
+        pairs = read_pairs(flat.splitlines())
+        if pairs.get("kind") != kind:
+            raise PackageFormatError(f"not a {kind} package (kind={pairs.get('kind')!r})")
         model_config = bb.ModelConfig.parse(model_text)
-        adapter_config = adp.AdapterConfig.parse(adapter_text) if kind == "adapter" else None
+        if kind == "backbone":
+            adapter_config, fields = None, _header_fields(model_config)
+        else:
+            adapter_config = adp.AdapterConfig.parse(adapter_text)
+            name, adapter_type, head_name = pairs.get("name"), pairs.get("adapter_type"), pairs.get("head_name")
+            adp.validate_identity(name, adapter_type)
+            num_labels = None
+            if head_name is not None:
+                adp.validate_name(head_name)
+                num_labels = as_count(read_value(int, pairs.get("head_num_labels", "")), "head_num_labels", 2)
+            fields = _header_fields(model_config, adapter_config, name, adapter_type,
+                                    read_value(bool, pairs.get("trained", "")), head_name, num_labels)
     except ValueError as exc:
         raise PackageFormatError(f"bad package header: {exc}") from None
-    for config, key in ((model_config, "model_config_hash"), (adapter_config, "adapter_config_hash")):
-        if config is not None and config.config_hash() != fields.get(key):
-            raise PackageFormatError(f"embedded configuration does not match its {key}")
-    if _header_text(fields, model_config, adapter_config) != text:
-        raise PackageFormatError("package header is not in canonical form")
+    expected = _header_text(fields, model_config, adapter_config)
+    if expected != text:  # find the first differing line only once the one comparison has failed
+        lines = itertools.zip_longest(text.split("\n"), expected.split("\n"))
+        got, want = next((got, want) for got, want in lines if got != want)
+        raise PackageFormatError(f"package header reads {got!r} where a writer writes {want!r}")
     return fields, model_config, adapter_config
 
 
@@ -208,32 +233,24 @@ def _declared_layout(fields, model_config, adapter_config):
     """The exact ordered (name, shape) payload a header declares, as an iterator."""
     if adapter_config is None:
         return bb.backbone_layout(model_config)
-    layout = adp.adapter_layout(model_config, adapter_config)
-    if "head_name" in fields:
-        try:
-            num_labels = read_value(int, fields.get("head_num_labels", ""))
-            head = adp.head_layout(model_config.hidden_size, num_labels)
-        except ValueError as exc:
-            raise PackageFormatError(f"bad package header: head_num_labels: {exc}") from None
-        layout = itertools.chain(layout, ((f"head.{name}", shape) for name, shape in head))
-    return layout
+    head = adp.head_layout(model_config.hidden_size, fields["head_num_labels"]) if "head_name" in fields else []
+    return itertools.chain(adp.adapter_layout(model_config, adapter_config),
+                           ((f"head.{name}", shape) for name, shape in head))
 
 
-def _read_container(data, kind, dtype):
+def _read_container(data, kind):
     """Verify container bytes and decode them.
 
     Returns (header fields, model config, adapter config or None,
     {tensor name: float64 array}, sha256 hex digest of the file).
     """
-    if len(data) < 4 + 4 + 8:
+    if len(data) < 4 + 4 + 8 + 32:
         raise PackageFormatError("file too short to be a package")
     if data[:4] != MAGIC:
         raise PackageFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
         raise PackageFormatError(f"unsupported format version {version}")
-    if len(data) < 32 + 16:
-        raise PackageFormatError("file truncated")
     body = memoryview(data)[:-32]
     h = hashlib.sha256(body)
     if h.digest() != data[-32:]:
@@ -255,7 +272,7 @@ def _read_container(data, kind, dtype):
             raise PackageFormatError(f"package {what} is not UTF-8: {exc}") from None
         pos += length
     header_text, manifest_text = texts
-    fields, model_config, adapter_config = _read_header(header_text, kind, dtype)
+    fields, model_config, adapter_config = _read_header(header_text, kind)
 
     digests = [line.rpartition(" ")[2] for line in manifest_text.splitlines()]
     # the header may declare any number of tensors: build no more than the file lists, plus one
@@ -263,10 +280,10 @@ def _read_container(data, kind, dtype):
                                    len(digests) + 1))
     if len(digests) != len(layout):
         raise PackageFormatError(f"manifest lists {len(digests)} tensors, not the number the header declares")
-    rendered, sizes = _manifest_text(layout, dtype, digests)
+    rendered, sizes = _manifest_text(layout, fields["dtype"], digests)
     if rendered != manifest_text:
         raise PackageFormatError("manifest does not match the tensor layout the header declares")
-    np_dtype = _DTYPES[dtype]
+    np_dtype = _DTYPES[fields["dtype"]]
     blob = body[pos:]
     if len(blob) != sum(sizes):
         raise PackageFormatError(f"blob is {len(blob)} bytes, manifest lists {sum(sizes)}")
@@ -290,20 +307,11 @@ def save_adapter_package(path, model_config, entry, head=None):
 
     Returns the sha256 hex digest of the finished file.
     """
-    fields = {
-        "version": FORMAT_VERSION,
-        "kind": "adapter",
-        "name": entry.name,
-        "adapter_type": entry.adapter_type,
-        "trained": bool(entry.trained),
-        "dtype": "f32",
-        "model_config_hash": model_config.config_hash(),
-        "adapter_config_hash": entry.config.config_hash(),
-    }
     named = [(name, t.data) for name, t in entry.named_tensors()]
     if head is not None:
-        fields.update(head_name=head.name, head_num_labels=head.num_labels)
         named += [(f"head.{name}", t.data) for name, t in head.named_tensors()]
+    fields = _header_fields(model_config, entry.config, entry.name, entry.adapter_type, bool(entry.trained),
+                            *((head.name, head.num_labels) if head is not None else ()))
     return _write_container(path, fields, model_config, entry.config, named)
 
 
@@ -327,24 +335,16 @@ class AdapterPackage:
 
 def parse_adapter_package(data):
     """Decode and fully validate adapter package bytes."""
-    fields, model_config, adapter_config, tensors, sha = _read_container(data, "adapter", "f32")
-    try:
-        adp.validate_identity(fields.get("name"), fields.get("adapter_type"))
-        if "head_name" in fields:
-            adp.validate_name(fields["head_name"])
-        trained = read_value(bool, fields.get("trained", ""))
-    except ValueError as exc:
-        raise PackageFormatError(f"bad package header: {exc}") from None
+    fields, model_config, adapter_config, tensors, sha = _read_container(data, "adapter")
     head = None
     if "head_name" in fields:
-        b = tensors.pop("head.b")
-        head = (fields["head_name"], len(b), tensors.pop("head.w"), b)
+        head = (fields["head_name"], fields["head_num_labels"], tensors.pop("head.w"), tensors.pop("head.b"))
     param_count = sum(t.size for t in tensors.values())
 
     return AdapterPackage(
         name=fields["name"],
         adapter_type=fields["adapter_type"],
-        trained=trained,
+        trained=fields["trained"],
         model_config=model_config,
         model_config_hash=fields["model_config_hash"],
         adapter_config=adapter_config,
@@ -367,20 +367,13 @@ def load_adapter_package(path):
 
 def save_backbone_checkpoint(path, model_config, weights):
     """Write the full backbone at float64 so training resumes bit-exactly."""
-    fields = {
-        "version": FORMAT_VERSION,
-        "kind": "backbone",
-        "name": "backbone",
-        "dtype": "f64",
-        "model_config_hash": model_config.config_hash(),
-    }
     named = [(name, t.data) for name, t in weights.named_tensors()]
-    return _write_container(path, fields, model_config, None, named)
+    return _write_container(path, _header_fields(model_config), model_config, None, named)
 
 
 def load_backbone_checkpoint(path):
     """Read a checkpoint back into (ModelConfig, BackboneWeights)."""
-    _, config, _, tensors, _ = _read_container(Path(path).read_bytes(), "backbone", "f64")
+    _, config, _, tensors, _ = _read_container(Path(path).read_bytes(), "backbone")
     return config, bb.build_backbone(config, lambda name, _: ad.tensor(tensors[name]))
 
 
@@ -431,9 +424,10 @@ def pack_archive(zip_path, package_path, metadata):
 def read_archive(zip_path):
     """Return (:class:`AdapterPackage`, metadata mapping) from an archive.
 
-    The archive is accepted only byte for byte as :func:`pack_archive` writes
-    it for the package and metadata it holds. A file that cannot be opened
-    raises ``OSError``; any other fault raises :class:`PackageFormatError`.
+    The zip framing and the package are accepted only byte for byte as :func:`pack_archive` writes
+    them; the metadata member may be any YAML text of a mapping (rendering it again would cost a
+    ``yaml.safe_dump`` per read). A file that cannot be opened raises ``OSError``; any other fault
+    raises :class:`PackageFormatError`.
     """
     data = Path(zip_path).read_bytes()
     try:

@@ -65,8 +65,7 @@ def reheader(data, kind="adapter", num_layers=None, **changes):
     a reader refuse the result.
     """
     header, manifest, blob = split_package(data)
-    fields, model_config, adapter_config = pio._read_header(
-        header.decode("utf-8"), kind, "f32" if kind == "adapter" else "f64")
+    fields, model_config, adapter_config = pio._read_header(header.decode("utf-8"), kind)
     if num_layers is not None:
         model_config = dataclasses.replace(model_config, num_layers=num_layers)
         fields["model_config_hash"] = model_config.config_hash()

@@ -12,6 +12,7 @@ import yaml
 
 from adapterkit import hub, package_io
 from adapterkit.adapters import AdapterConfig
+from adapterkit.cli import main
 from adapterkit.errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                                MetadataError, RegistryError, TransportError)
 from adapterkit.manager import AdapterModel
@@ -109,10 +110,18 @@ def test_index_is_order_independent_and_parses_back():
     assert hub.build_index(parsed) == text_a
 
 
-def test_index_rejects_duplicates_and_garbage():
+def test_index_rejects_duplicates_and_garbage(tmp_path):
     entries = _entries()
     with pytest.raises(RegistryError):
         hub.build_index(entries + [entries[0]])
+    # the reader takes the writer's rule: one row per (adapter_id, model_config_hash)
+    doc = json.loads(hub.build_index(entries))
+    doc["entries"].append(dict(doc["entries"][0], sha256="e" * 64))
+    with pytest.raises(RegistryError, match="duplicate index entry"):
+        hub.parse_index(json.dumps(doc))
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps(doc))
+    assert main(["explore", "--index", str(index)]) == 2
     with pytest.raises(RegistryError):
         hub.parse_index("{not json")
     with pytest.raises(RegistryError):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import os
@@ -293,6 +294,44 @@ def test_header_must_be_canonical(tmp_path, tiny_config):
         assert len(new) == len(old) and body != data[:-32]
         with pytest.raises(PackageFormatError):
             pio.parse_adapter_package(body + hashlib.sha256(body).digest())
+    # a reader derives every field but the writer's choices, so resealing any other one refuses
+    header, manifest, blob = split_package(data)
+    bad = tmp_path / "resealed.pkg"
+    for old, new in ((b"version=1\n", b"version=7\n"),
+                     (b"version=1\n", b"version=1\nzzz=1\n"),
+                     (b"version=1\n", b""),
+                     (b"version=1\nkind=adapter\n", b"kind=adapter\nversion=1\n"),
+                     (b"dtype=f32\n", b"dtype=f64\n")):
+        assert old in header
+        bad.write_bytes(join_package(header.replace(old, new, 1), manifest, blob))
+        with pytest.raises(PackageFormatError):
+            pio.load_adapter_package(bad)
+        assert main(["validate", "--package", str(bad)]) == 2, new
+    ckpt = tmp_path / "b.ckpt"
+    pio.save_backbone_checkpoint(ckpt, tiny_config, init_backbone(tiny_config, np.random.default_rng(13)))
+    header, manifest, blob = split_package(ckpt.read_bytes())
+    ckpt.write_bytes(join_package(header.replace(b"version=1\n", b"version=7\n", 1), manifest, blob))
+    with pytest.raises(PackageFormatError):
+        pio.load_backbone_checkpoint(ckpt)
+    # the name is a writer's choice: a renamed package loads and saves back to the same bytes
+    renamed = reheader(data, name="prabe")
+    pkg = pio.parse_adapter_package(renamed)
+    assert pkg.name == "prabe"
+    model = AdapterModel(tiny_config)
+    pio.save_adapter_package(path, tiny_config, model.get_adapter(model.load_adapter(pkg)))
+    assert path.read_bytes() == renamed
+
+
+def test_package_writer_refuses_identities_the_reader_refuses(tmp_path, tiny_model):
+    tiny_model.add_adapter("a", reduction_factor=2)
+    tiny_model.add_head("h", 2)
+    entry, head = tiny_model.get_adapter("a"), tiny_model.get_head("h")
+    for bad_entry, bad_head in ((dataclasses.replace(entry, name="a b"), None),
+                                (dataclasses.replace(entry, adapter_type="text_image"), None),
+                                (entry, dataclasses.replace(head, name="c/s"))):
+        with pytest.raises(PackageFormatError, match="bad package header"):
+            pio.save_adapter_package(tmp_path / "a.pkg", tiny_model.config, bad_entry, bad_head)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_must_be_what_the_layout_renders(tmp_path, tiny_config):

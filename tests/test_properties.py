@@ -44,14 +44,18 @@ def package(tmp_path_factory):
 
 
 def _check(data, path):
-    """Parse ``data`` and validate it on the command line; both must agree."""
+    """Parse ``data`` and validate it on the command line; both must agree, and an accepted
+    package must be exactly what the writer writes for what was read."""
     try:
         pkg = pio.parse_adapter_package(data)
     except AdapterKitError:
         accepted = False
     else:
         accepted = True
-        AdapterModel(pkg.model_config, seed=0).load_adapter(pkg)  # the registry takes it
+        model = AdapterModel(pkg.model_config, seed=0)
+        name = model.load_adapter(pkg)  # the registry takes it
+        model.save_adapter(name, path, with_head=pkg.head and pkg.head[0])
+        assert path.read_bytes() == data
     path.write_bytes(data)
     assert main(["validate", "--package", str(path)]) == (0 if accepted else 2)
 
