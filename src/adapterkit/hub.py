@@ -193,9 +193,8 @@ def explore_tree(entries):
     """Nest adapter ids by type, category, and dataset, all levels sorted."""
     tree = {}
     for e in entries:
-        ids = tree.setdefault(e.adapter_type, {}).setdefault(e.level2, {}).setdefault(e.level3, [])
-        if e.adapter_id not in ids:
-            ids.append(e.adapter_id)
+        ids = tree.setdefault(e.adapter_type, {}).setdefault(e.level2, {}).setdefault(e.level3, set())
+        ids.add(e.adapter_id)
     return {
         t: {l2: {l3: sorted(ids) for l3, ids in sorted(level3.items())}
             for l2, level3 in sorted(level2.items())}

@@ -91,7 +91,13 @@ def entry_from_package(pkg, name=None):
 
 
 class AdapterModel:
-    """A backbone encoder with pluggable adapters and prediction heads."""
+    """A backbone encoder with pluggable adapters and prediction heads.
+
+    The active stack is one tuple of entries, rebound whole and read once per call, so
+    :meth:`predict`, :meth:`batch_logits`, :meth:`encode` and :meth:`named_parameters` run
+    the stack they saw while one other thread adds, activates or deletes adapters or installs
+    heads. Training while another thread uses the model, or two registry writers, is undefined.
+    """
 
     def __init__(self, config, weights=None, seed=0):
         self.config = config
@@ -102,7 +108,7 @@ class AdapterModel:
         self.weights = weights
         self._adapters = {}
         self._heads = {}
-        self.active_adapters = []
+        self._stack = ()
         self.active_head = None
 
     # -- registry ----------------------------------------------------------
@@ -135,10 +141,9 @@ class AdapterModel:
 
     def delete_adapter(self, name):
         """Unregister an adapter, removing it from the active stack if it is there."""
-        self.get_adapter(name)
+        entry = self.get_adapter(name)
         del self._adapters[name]
-        if name in self.active_adapters:
-            self.active_adapters = [n for n in self.active_adapters if n != name]
+        self._stack = tuple(e for e in self._stack if e is not entry)
 
     def list_adapters(self):
         """Registered adapter names, in registration order."""
@@ -184,22 +189,29 @@ class AdapterModel:
 
     # -- activation and training modes --------------------------------------
 
+    @property
+    def active_adapters(self):
+        """Names of the active stack, in order (set it with :meth:`set_active_adapters`)."""
+        return [e.name for e in self._stack]
+
     def set_active_adapters(self, names):
         """Choose the ordered adapter stack for :meth:`encode` (may be empty; one name is a stack of one)."""
         names = [names] if isinstance(names, str) else list(names)
-        for n in names:
-            self.get_adapter(n)
+        stack = tuple(map(self.get_adapter, names))
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate adapter in stack: {names}")
-        self.active_adapters = names
+        self._stack = stack
 
     def train_adapter(self, names):
         """Freeze the backbone and train only the named adapters (plus heads).
 
-        Also activates the named adapters as the current stack.
+        Also activates the named adapters as the current stack, and returns the
+        tuple of entries it activated.
         """
         self.set_active_adapters(names)
-        self._set_trainable(base=False, adapters=set(self.active_adapters))
+        stack = self._stack
+        self._set_trainable(base=False, adapters={e.name for e in stack})
+        return stack
 
     def train_full(self):
         """Mark every backbone and head tensor trainable; adapters stay frozen."""
@@ -209,10 +221,10 @@ class AdapterModel:
         """Train the backbone if ``base``, the adapters named in ``adapters``, and every head."""
         for _, t in self.weights.named_tensors():
             t.requires_grad = base
-        for entry in self._adapters.values():
+        for entry in tuple(self._adapters.values()):
             for _, t in entry.named_tensors():
                 t.requires_grad = entry.name in adapters
-        for head in self._heads.values():
+        for head in tuple(self._heads.values()):
             head.w.requires_grad = head.b.requires_grad = True
 
     # -- parameter iteration --------------------------------------------------
@@ -221,10 +233,10 @@ class AdapterModel:
         """Yield (qualified name, tensor, owner) with owner base/adapter/head."""
         for name, t in self.weights.named_tensors():
             yield f"base.{name}", t, "base"
-        for entry in self._adapters.values():
+        for entry in tuple(self._adapters.values()):
             for name, t in entry.named_tensors():
                 yield f"adapter.{entry.name}.{name}", t, "adapter"
-        for head in self._heads.values():
+        for head in tuple(self._heads.values()):
             for name, t in head.named_tensors():
                 yield f"head.{head.name}.{name}", t, "head"
 
@@ -238,10 +250,10 @@ class AdapterModel:
     # -- forward ----------------------------------------------------------------
 
     def _layer_hooks(self):
-        if not self.active_adapters:
+        stack = self._stack
+        if not stack:
             return None
-        entries = [self._adapters[name] for name in self.active_adapters]
-        return [[[(e.weights[i][point], e.config) for e in entries if point in e.weights[i]]
+        return [[[(e.weights[i][point], e.config) for e in stack if point in e.weights[i]]
                  for point in ("attention", "output")]
                 for i in range(self.config.num_layers)]
 

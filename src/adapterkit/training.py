@@ -331,10 +331,9 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     if config.mode == "adapter_only":
         if adapter_name is None and not model.active_adapters:
             raise ValueError("adapter_only mode needs adapter_name or an active stack")
-        model.train_adapter(model.active_adapters if adapter_name is None else adapter_name)
-        names = model.active_adapters
+        trained = model.train_adapter(model.active_adapters if adapter_name is None else adapter_name)
     else:
-        names = []
+        trained = ()
         model.train_full()
 
     params = [t for _, t, _ in model.named_parameters() if t.requires_grad]
@@ -352,8 +351,8 @@ def run_training(model, sequences, labels, config, adapter_name=None,
         result.losses.append(float(loss.data))
 
     result.final_loss = result.losses[-1]
-    for name in names:
-        model.get_adapter(name).trained = True
+    for entry in trained:
+        entry.trained = True
     if dev_sequences is not None:
         result.dev_metrics = evaluate(model, dev_sequences, dev_labels)
     return result

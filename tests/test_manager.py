@@ -1,12 +1,15 @@
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import adapterkit.autodiff as ad
 from adapterkit import package_io
-from adapterkit.adapters import AdapterConfig, count_adapter_params, preset, resolve_config
-from adapterkit.errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
+from adapterkit.adapters import AdapterConfig, adapter_layout, count_adapter_params, preset, resolve_config
+from adapterkit.errors import AdapterKitError, CompatibilityError, ShapeMismatchError, UnknownAdapterError
 from adapterkit.backbone import init_backbone
 from adapterkit.manager import AdapterModel, PredictionHead, new_adapter_entry
 
@@ -322,3 +325,61 @@ def test_same_seed_same_model(tiny_config):
     assert a.digest_adapter("x") == b.digest_adapter("x")
     c = AdapterModel(tiny_config, seed=43)
     assert c.digest_base() != a.digest_base()
+
+
+def _race(model, cycles, read):
+    """Loop ``read()`` on one thread while another runs ``cycles`` add/activate/delete cycles.
+
+    Returns each call's result, or the :class:`AdapterKitError` it raised; any other
+    exception propagates. Prebuilt entries keep a cycle short, so a thread switch often
+    lands inside a registry change.
+    """
+    entries = [new_adapter_entry(model.config, f"a{i}", "text_task", AdapterConfig(reduction_factor=2),
+                                 np.random.default_rng(i)) for i in range(2)]
+    done = threading.Event()
+
+    def edit():
+        try:
+            for i in range(cycles):
+                entry = entries[i % 2]
+                model.install_adapter(entry)
+                model.set_active_adapters([entry.name])
+                model.delete_adapter(entry.name)
+        finally:
+            done.set()
+
+    def loop():
+        outcomes = []
+        while not done.is_set():
+            try:
+                outcomes.append(read())
+            except AdapterKitError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reader, editor = pool.submit(loop), pool.submit(edit)
+            editor.result(timeout=120)
+            return reader.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_predict_runs_the_stack_it_saw_while_another_thread_edits_it(tiny_model):
+    tiny_model.add_head("cls", 2)
+    outcomes = _race(tiny_model, 20000, lambda: tiny_model.predict([[1, 2, 3], [4, 5]]))
+    assert outcomes
+    for out in outcomes:
+        assert isinstance(out, AdapterKitError) or (len(out) == 2 and set(out) <= {0, 1}), out
+    assert tiny_model.list_adapters() == [] and tiny_model.active_adapters == []
+
+
+def test_named_parameters_iterates_a_snapshot_while_another_thread_edits_it(tiny_model):
+    tiny_model.add_head("cls", 2)
+    frozen = sum(1 for _ in tiny_model.named_parameters())
+    one_adapter = frozen + len(list(adapter_layout(tiny_model.config, AdapterConfig(reduction_factor=2))))
+    counts = _race(tiny_model, 2000, lambda: sum(1 for _ in tiny_model.named_parameters()))
+    assert counts and set(counts) <= {frozen, one_adapter}
