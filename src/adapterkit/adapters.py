@@ -7,6 +7,10 @@ feed-forward sublayer (``output_adapter``). The remaining knobs pick which
 hook signal feeds the adapter, which signal its skip connection adds back,
 and whether fresh LayerNorms wrap the projections.
 
+This module owns how a stack wires into a sublayer: the encoder hands each
+insertion point's sublayer output to :func:`through_insertion_point`, which
+alone reads those knobs.
+
 Freshly initialized adapters are exact identities on their residual path
 (the up-projection starts at zero), so stitching one into a model never
 changes its output until training happens.
@@ -19,12 +23,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import Descriptor, as_count
-from .errors import ShapeMismatchError
 
 ADAPTER_TYPES = ("text_task", "text_lang")
 ADAPTER_INPUT_CHOICES = ("sublayer_output", "after_original_ln")
 RESIDUAL_SOURCE_CHOICES = ("adapter_input", "pre_sublayer")
 NON_LINEARITIES = ("relu", "gelu", "swish", "tanh")
+INSERTION_POINTS = ("attention", "output")  # in layer order: after attention, after the FFN
 
 
 def validate_name(name):
@@ -93,12 +97,8 @@ class AdapterConfig(Descriptor):
             raise ValueError(f"residual_source must be one of {RESIDUAL_SOURCE_CHOICES}")
 
     def insertion_points(self):
-        points = []
-        if self.mh_adapter:
-            points.append("attention")
-        if self.output_adapter:
-            points.append("output")
-        return points
+        """The points this adapter hooks, in :data:`INSERTION_POINTS` order."""
+        return [p for p, on in zip(INSERTION_POINTS, (self.mh_adapter, self.output_adapter)) if on]
 
 
 _PRESETS = {
@@ -234,12 +234,6 @@ def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):
 
     out = maybe_ln_after(residual + up(act(down(maybe_ln_before(hidden)))))
     """
-    if hidden.shape != residual.shape:
-        raise ShapeMismatchError(f"adapter_forward: hidden {hidden.shape} vs residual {residual.shape}")
-    if hidden.data.ndim != 2 or hidden.shape[1] != weights.w_down.shape[0]:
-        raise ShapeMismatchError(
-            f"adapter_forward: hidden {hidden.shape} does not match w_down {weights.w_down.shape}"
-        )
     x = hidden
     if config.new_ln_before:
         x = ad.layer_norm(x, weights.ln_before_gamma, weights.ln_before_beta, ln_epsilon)
@@ -249,6 +243,41 @@ def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):
     if config.new_ln_after:
         return ad.add_norm(residual, x, weights.ln_after_gamma, weights.ln_after_beta, ln_epsilon)
     return ad.add(residual, x)
+
+
+def through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
+    """Route one sublayer's output through its add-and-norm, with adapters.
+
+    ``hooks`` is an ordered list of (weights, config) pairs for the adapters
+    active at this point. The first adapter's configuration chooses the hook
+    signal and the continuation wiring; each following adapter takes the
+    previous adapter's output as both input and residual, which keeps
+    identity-initialized adapters transparent anywhere in the stack.
+    """
+
+    def add_and_norm(a, b):
+        return ad.add_norm(a, b, ln_gamma, ln_beta, eps)
+
+    if not hooks:
+        return add_and_norm(x_in, sub_out)
+
+    first_cfg = hooks[0][1]
+    if first_cfg.adapter_input == "sublayer_output":
+        entry = sub_out
+    else:  # after_original_ln: the original block completes first
+        entry = add_and_norm(x_in, sub_out)
+    residual = entry if first_cfg.residual_source == "adapter_input" else x_in
+
+    cur = adapter_forward(entry, residual, hooks[0][0], first_cfg, eps)
+    for weights, cfg in hooks[1:]:
+        cur = adapter_forward(cur, cur, weights, cfg, eps)
+
+    if first_cfg.adapter_input == "sublayer_output":
+        if first_cfg.residual_source == "adapter_input":
+            return add_and_norm(x_in, cur)
+        # the adapter's skip already carried x_in; only normalize
+        return ad.layer_norm(cur, ln_gamma, ln_beta, eps)
+    return cur
 
 
 # ---------------------------------------------------------------------------

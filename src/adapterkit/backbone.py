@@ -1,10 +1,11 @@
 """Compact BERT-style transformer encoder with adapter insertion points.
 
 The backbone holds the frozen base weights. Each layer is post-LN: the
-sublayer output is added to its residual input and normalized. Adapters
-hook in at two points per layer, after the attention sublayer and after
-the feed-forward sublayer, between the sublayer and its add-and-norm (or
-after it, depending on the adapter's configuration).
+sublayer output is added to its residual input and normalized. Each layer
+has two insertion points, after the attention sublayer and after the
+feed-forward sublayer, where :func:`adapters.through_insertion_point` runs
+the sublayer's add-and-norm with the adapter hooks of that point; how a
+stack wires in there is the adapters module's business.
 
 A batch is encoded in one pass over packed rows: the sequences' tokens lie
 back to back in one ``(total tokens, hidden)`` tensor, so every row-wise
@@ -12,13 +13,13 @@ step (projections, biases, layer norms, activations, residual adds and all
 adapters) runs on it unchanged and no work is spent on padding. Only
 self-attention needs the sequence boundaries, which it takes as lengths.
 
-The encoder returns only its final hidden rows and the pooled representation,
-the first position's hidden state; prediction heads own any further projection.
-A caller that reads the pooled rows alone (``AdapterModel.batch_logits``, so
-every training step, evaluation and prediction) asks for them: the last
-layer's keys and values still cover every row, as the first positions attend
-to all of their sequence, but its queries and everything after attention run
-on one row per sequence.
+The encoder returns its final hidden rows; prediction heads own pooling and
+any further projection. A caller that reads the pooled rows alone, each
+sequence's first position (``AdapterModel.batch_logits``, so every training
+step, evaluation and prediction), asks for them: the last layer's keys and
+values still cover every row, as the first positions attend to all of their
+sequence, but its queries and everything after attention run on one row per
+sequence, and those rows are returned.
 """
 
 import itertools
@@ -163,10 +164,10 @@ def count_backbone_params(config):
 
 @dataclass
 class EncodeResult:
-    """What the encoder returns: its final rows and their pooled first positions."""
+    """What :func:`encode` returns: one sequence's final rows and its pooled first position."""
 
-    hidden: ad.Tensor | None  # packed rows: total-tokens-by-hidden; None if pooled_only
-    pooled: ad.Tensor  # batch-by-hidden (first positions); a vector from encode
+    hidden: ad.Tensor  # seq-by-hidden
+    pooled: ad.Tensor  # the first position's hidden-size vector
 
 
 def _attention_context(config, lw, x, queries, lengths):
@@ -181,41 +182,6 @@ def _ffn(config, lw, x):
     """Feed-forward sublayer (pre-residual output); gelu inner activation."""
     inner = ad.gelu(ad.linear(x, lw.w_ffn_in, lw.b_ffn_in))
     return ad.linear(inner, lw.w_ffn_out, lw.b_ffn_out)
-
-
-def _through_insertion_point(x_in, sub_out, ln_gamma, ln_beta, eps, hooks):
-    """Route one sublayer's output through its add-and-norm, with adapters.
-
-    ``hooks`` is an ordered list of (weights, config) pairs for the adapters
-    active at this point. The first adapter's configuration chooses the hook
-    signal and the continuation wiring; each following adapter takes the
-    previous adapter's output as both input and residual, which keeps
-    identity-initialized adapters transparent anywhere in the stack.
-    """
-
-    def add_and_norm(a, b):
-        return ad.add_norm(a, b, ln_gamma, ln_beta, eps)
-
-    if not hooks:
-        return add_and_norm(x_in, sub_out)
-
-    first_cfg = hooks[0][1]
-    if first_cfg.adapter_input == "sublayer_output":
-        entry = sub_out
-    else:  # after_original_ln: the original block completes first
-        entry = add_and_norm(x_in, sub_out)
-    residual = entry if first_cfg.residual_source == "adapter_input" else x_in
-
-    cur = adp.adapter_forward(entry, residual, hooks[0][0], first_cfg, eps)
-    for weights, cfg in hooks[1:]:
-        cur = adp.adapter_forward(cur, cur, weights, cfg, eps)
-
-    if first_cfg.adapter_input == "sublayer_output":
-        if first_cfg.residual_source == "adapter_input":
-            return add_and_norm(x_in, cur)
-        # the adapter's skip already carried x_in; only normalize
-        return ad.layer_norm(cur, ln_gamma, ln_beta, eps)
-    return cur
 
 
 def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None, pooled_only=False):
@@ -234,10 +200,10 @@ def apply_layer(config, lw, x, attention_hooks=(), output_hooks=(), lengths=None
     if pooled_only and len(lengths) < x.shape[0]:
         rows = ad.embedding_lookup(x, np.cumsum(lengths) - lengths)
     context = _attention_context(config, lw, x, rows, lengths)
-    attn_hidden = _through_insertion_point(rows, ad.linear(context, lw.w_o, lw.b_o),
-                                           lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
-    return _through_insertion_point(attn_hidden, _ffn(config, lw, attn_hidden),
-                                    lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
+    attn_hidden = adp.through_insertion_point(rows, ad.linear(context, lw.w_o, lw.b_o),
+                                              lw.attn_ln_gamma, lw.attn_ln_beta, eps, list(attention_hooks))
+    return adp.through_insertion_point(attn_hidden, _ffn(config, lw, attn_hidden),
+                                       lw.ffn_ln_gamma, lw.ffn_ln_beta, eps, list(output_hooks))
 
 
 def _packed_ids(config, sequences):
@@ -266,11 +232,11 @@ def encode_batch(config, weights, sequences, layer_hooks=None, pooled_only=False
 
     ``layer_hooks``, when given, is a list with one entry per layer:
     ``(attention_hooks, output_hooks)`` as consumed by :func:`apply_layer`.
-    Returns an :class:`EncodeResult` with the packed final hidden rows and
-    one pooled row per sequence (its first position). With ``pooled_only``
-    the last layer's queries and everything after them cover only the pooled
-    rows (its keys and values still cover every row), and the result's
-    ``hidden`` is None.
+    Returns the last layer's rows as one tensor: the packed final hidden
+    rows, total tokens by hidden. With ``pooled_only`` the last layer's
+    queries and everything after them cover only each sequence's first
+    position (its keys and values still cover every row), and the result is
+    those pooled rows, batch by hidden.
     """
     ids, lengths = _packed_ids(config, sequences)
     starts = np.cumsum(lengths) - lengths
@@ -285,10 +251,7 @@ def encode_batch(config, weights, sequences, layer_hooks=None, pooled_only=False
         if layer_hooks is not None:
             attn_hooks, out_hooks = layer_hooks[i]
         x = apply_layer(config, lw, x, attn_hooks, out_hooks, lengths, pooled_only and i == last)
-
-    if pooled_only:
-        return EncodeResult(hidden=None, pooled=x)
-    return EncodeResult(hidden=x, pooled=ad.embedding_lookup(x, starts))
+    return x
 
 
 def encode(config, weights, token_ids, layer_hooks=None):
@@ -296,6 +259,5 @@ def encode(config, weights, token_ids, layer_hooks=None):
 
     The result's ``pooled`` is the first position's hidden-size vector.
     """
-    result = encode_batch(config, weights, [token_ids], layer_hooks)
-    result.pooled = ad.mean_pool_first(result.hidden)
-    return result
+    hidden = encode_batch(config, weights, [token_ids], layer_hooks)
+    return EncodeResult(hidden, ad.mean_pool_first(hidden))

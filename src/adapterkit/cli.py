@@ -97,12 +97,12 @@ def read_labels(path):
 
 def _add_model_flags(p):
     g = p.add_argument_group("model shape")
-    g.add_argument("--hidden-size", type=int, default=64)
-    g.add_argument("--layers", type=int, default=2)
-    g.add_argument("--heads", type=int, default=4)
-    g.add_argument("--ffn-size", type=int, default=256)
-    g.add_argument("--vocab-size", type=int, default=128)
-    g.add_argument("--max-seq-len", type=int, default=32)
+    g.add_argument("--hidden-size", type=int, default=ModelConfig.hidden_size)
+    g.add_argument("--layers", type=int, default=ModelConfig.num_layers)
+    g.add_argument("--heads", type=int, default=ModelConfig.num_heads)
+    g.add_argument("--ffn-size", type=int, default=ModelConfig.ffn_size)
+    g.add_argument("--vocab-size", type=int, default=ModelConfig.vocab_size)
+    g.add_argument("--max-seq-len", type=int, default=ModelConfig.max_seq_len)
 
 
 def _model_config(args):
@@ -324,12 +324,12 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an adapter (or the full model) on a synthetic task")
     p.add_argument("--task", choices=training.TASKS, required=True)
-    p.add_argument("--mode", choices=training.MODES, default="adapter_only")
+    p.add_argument("--mode", choices=training.MODES, default=training.TrainConfig.mode)
     p.add_argument("--adapter-name", default=None)
     p.add_argument("--preset", default="pfeiffer", choices=PRESET_NAMES)
     p.add_argument("--reduction-factor", type=int, default=None)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--steps", type=int, default=training.TrainConfig.max_steps)
+    p.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-size", type=int, default=256)

@@ -16,9 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
-from .adapters import (AdapterConfig, AdapterLayerWeights, adapter_layout, count_adapter_params,
-                       head_layout, init_layer_weights, point_layout, qualify, resolve_config,
-                       validate_identity, validate_name)
+from .adapters import (INSERTION_POINTS, AdapterConfig, AdapterLayerWeights, adapter_layout,
+                       count_adapter_params, head_layout, init_layer_weights, point_layout, qualify,
+                       resolve_config, validate_identity, validate_name)
 from .codec import as_count
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
 
@@ -254,7 +254,7 @@ class AdapterModel:
         if not stack:
             return None
         return [[[(e.weights[i][point], e.config) for e in stack if point in e.weights[i]]
-                 for point in ("attention", "output")]
+                 for point in INSERTION_POINTS]
                 for i in range(self.config.num_layers)]
 
     def encode(self, token_ids):
@@ -268,8 +268,7 @@ class AdapterModel:
         everything after them cover only the pooled rows.
         """
         head = self.get_head(head)
-        pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks(),
-                                 pooled_only=True).pooled
+        pooled = bb.encode_batch(self.config, self.weights, sequences, self._layer_hooks(), pooled_only=True)
         return ad.linear(pooled, head.w, head.b)
 
     def predict(self, sequences, head=None):

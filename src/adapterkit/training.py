@@ -6,6 +6,7 @@ runs with the same inputs produce bit-identical weights and logs.
 """
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from .codec import as_count
-from .errors import GradientError
+from .errors import GradientError, ShapeMismatchError
 
 DEFAULT_LR = {"adapter_only": 1e-3, "full_finetune": 1e-4}
 MODES = ("adapter_only", "full_finetune")
@@ -131,14 +132,26 @@ class ToyTask:
             return seq[0] % 2
         return _COPY_TOKENS.index(seq[0])
 
+    def _majority_counts(self):
+        """The numbers of dominant tokens a majority-token body may hold."""
+        body = self.seq_len - 1
+        return range(int(np.ceil(_MAJORITY_MARGIN * body)), body + 1)
+
+    def _distinct_per_label(self):
+        """How many different sequences :meth:`_sample` can draw for one label."""
+        if self.name == "majority-token":
+            return sum(math.comb(self.seq_len - 1, count) for count in self._majority_counts())
+        leads = (_PARITY_WINDOW[1] - _PARITY_WINDOW[0]) // 2 if self.name == "parity-of-token" else 1
+        return leads * (min(_NOISE_RANGE[1], self.vocab_size) - _NOISE_RANGE[0]) ** (self.seq_len - 1)
+
     def _sample(self, rng, label):
         def noise(k):
             return rng.integers(_NOISE_RANGE[0], min(_NOISE_RANGE[1], self.vocab_size), size=k)
 
         if self.name == "majority-token":
             body = self.seq_len - 1
-            lo = int(np.ceil(_MAJORITY_MARGIN * body))
-            count = int(rng.integers(lo, body + 1))
+            counts = self._majority_counts()
+            count = int(rng.integers(counts.start, counts.stop))
             major, minor = (_MAJ_A, _MAJ_B) if label else (_MAJ_B, _MAJ_A)
             rest = np.full(body, minor)
             rest[:count] = major
@@ -155,8 +168,6 @@ class ToyTask:
 
     def _generate(self, rng, n, taken):
         """n fresh examples, exactly balanced, none colliding with ``taken``."""
-        if as_count(n, "split sizes", 2) % 2:
-            raise ValueError("split sizes must be even numbers >= 2")
         sequences, labels = [], []
         for label in (0, 1):
             made = 0
@@ -173,7 +184,15 @@ class ToyTask:
         return [sequences[i] for i in order], [labels[i] for i in order]
 
     def datasets(self, train_size=256, dev_size=64):
-        """Disjoint train and dev splits, each with exactly half per label."""
+        """Disjoint train and dev splits, each with exactly half per label; ``ValueError`` for a
+        size that is not an even count >= 2, or splits needing more sequences than the task has."""
+        train_size, dev_size = (as_count(n, "split sizes", 2) for n in (train_size, dev_size))
+        if train_size % 2 or dev_size % 2:
+            raise ValueError("split sizes must be even numbers >= 2")
+        need, have = (train_size + dev_size) // 2, self._distinct_per_label()
+        if need > have:
+            raise ValueError(f"{self.name} at seq_len {self.seq_len} and vocab_size {self.vocab_size} has "
+                             f"{have} distinct sequences per label; the splits need {need}")
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         taken = set()
         train_seqs, train_labels = self._generate(rng, train_size, taken)
@@ -319,19 +338,26 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     labels_arr = _split_labels(sequences, labels)
     if (dev_sequences is None) != (dev_labels is None):
         raise ValueError("dev_sequences and dev_labels come together or not at all")
+    label_splits = [labels_arr]
     if dev_sequences is not None:
-        _split_labels(dev_sequences, dev_labels, "dev_labels")
-    # draw every step's batch up front and refuse bad token ids in them (and in the dev split)
-    # before the mode switch below changes the stack or what trains
+        label_splits.append(_split_labels(dev_sequences, dev_labels, "dev_labels"))
+    # draw every step's batch up front and refuse bad token ids in them (and in the dev split),
+    # labels the active head cannot score and an empty stack, before the mode switch below
+    # changes the stack or what trains
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     steps = list(itertools.islice(_batches(len(sequences), config.batch_size, rng), config.max_steps))
     bb._packed_ids(model.config, [sequences[i] for i in np.unique(np.concatenate(steps))])
     if dev_sequences is not None:
         bb._packed_ids(model.config, dev_sequences)
+    classes = model.get_head().num_labels
+    if any(y.min() < 0 or y.max() >= classes for y in label_splits):
+        raise ShapeMismatchError(f"labels out of range [0, {classes}) of the active head")
     if config.mode == "adapter_only":
-        if adapter_name is None and not model.active_adapters:
-            raise ValueError("adapter_only mode needs adapter_name or an active stack")
-        trained = model.train_adapter(model.active_adapters if adapter_name is None else adapter_name)
+        names = model.active_adapters if adapter_name is None else adapter_name
+        names = [names] if isinstance(names, str) else list(names)
+        if not names:
+            raise ValueError("adapter_only mode needs adapter_name or an active stack, not an empty one")
+        trained = model.train_adapter(names)
     else:
         trained = ()
         model.train_full()

@@ -175,7 +175,7 @@ def test_encode_batch_validates_inputs(tiny_config):
         with pytest.raises(ShapeMismatchError, match=message):
             encode_batch(tiny_config, weights, batch)
     numpy_ids = encode_batch(tiny_config, weights, [[np.int64(1), np.uint32(2)], np.array([3], np.uint8)])
-    assert np.array_equal(numpy_ids.hidden.data, encode_batch(tiny_config, weights, [[1, 2], [3]]).hidden.data)
+    assert np.array_equal(numpy_ids.data, encode_batch(tiny_config, weights, [[1, 2], [3]]).data)
 
 
 @pytest.mark.parametrize("stack", [[name] for name in PRESET_NAMES] + [["pfeiffer", "houlsby"]])
@@ -198,7 +198,7 @@ def test_batch_rows_match_batch_of_one(desk_config, stack):
     starts = np.cumsum(lengths) - lengths
     for seq, start, row in zip(seqs, starts, logits):
         alone = model.encode(seq)
-        assert np.allclose(batch.hidden.data[start:start + len(seq)], alone.hidden.data, atol=1e-12, rtol=0)
+        assert np.allclose(batch.data[start:start + len(seq)], alone.hidden.data, atol=1e-12, rtol=0)
         assert np.allclose(row, model.batch_logits([seq]).data[0], atol=1e-12, rtol=0)
 
 
@@ -225,7 +225,7 @@ def _adapted_model(config, stack, rng):
 def _all_rows_logits(model, seqs):
     """Logits of every final hidden row computed, then each sequence's first row gathered."""
     lengths = np.array([len(seq) for seq in seqs])
-    hidden = encode_batch(model.config, model.weights, seqs, model._layer_hooks()).hidden
+    hidden = encode_batch(model.config, model.weights, seqs, model._layer_hooks())
     head = model.get_head()
     return ad.linear(ad.embedding_lookup(hidden, np.cumsum(lengths) - lengths), head.w, head.b)
 
@@ -291,11 +291,11 @@ def test_batch_logits_runs_the_last_layer_on_the_pooled_rows_only(desk_config):
     # one token each: the pooled rows are all the rows, and nothing is gathered
     assert rows_recorded(lambda: model.batch_logits([seq[:1] for seq in seqs])) == (
         [len(seqs)] * layers, len(seqs), len(seqs), 2)
-    # token and position embeddings, then the pooled rows of the result
+    # token and position embeddings only: every row is returned
     assert rows_recorded(lambda: encode_batch(desk_config, model.weights, seqs)) == (
-        [total] * layers, total, total, 3)
+        [total] * layers, total, total, 2)
     pooled_only = encode_batch(desk_config, model.weights, seqs, pooled_only=True)
-    assert pooled_only.hidden is None and pooled_only.pooled.shape == (len(seqs), desk_config.hidden_size)
+    assert pooled_only.shape == (len(seqs), desk_config.hidden_size)
 
 
 def test_encode_is_deterministic(desk_config):

@@ -13,8 +13,10 @@ import pytest
 
 from adapterkit import package_io
 from adapterkit.backbone import ModelConfig, init_backbone
-from adapterkit.cli import main, read_labels, read_sequences, write_labels, write_sequences
+from adapterkit.cli import (_model_config, build_parser, main, read_labels, read_sequences, write_labels,
+                            write_sequences)
 from adapterkit.manager import AdapterModel
+from adapterkit.training import TrainConfig
 from conftest import negative_size_package, reheader
 
 TINY_FLAGS = ["--hidden-size", "8", "--layers", "1", "--heads", "2",
@@ -47,6 +49,14 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "train" in capsys.readouterr().out
+
+
+def test_train_defaults_come_from_the_configs():
+    args = build_parser().parse_args(["train", "--task", "copy-first-label", "--out-dir", "x"])
+    assert _model_config(args) == ModelConfig()
+    defaults = TrainConfig()
+    assert (args.mode, args.steps, args.batch_size, args.lr) == (
+        defaults.mode, defaults.max_steps, defaults.batch_size, defaults.learning_rate)
 
 
 def test_sequence_and_label_files_round_trip(tmp_path):

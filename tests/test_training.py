@@ -134,6 +134,26 @@ def test_unknown_task_rejected():
             task.datasets(4, bad)
 
 
+def test_datasets_refuse_splits_the_task_cannot_fill():
+    """Splits needing more distinct sequences per label than the task has are refused, not looped on."""
+    task = ToyTask("majority-token", seed=0, seq_len=8)
+    with pytest.raises(ValueError, match="has 29 distinct sequences per label; the splits need 160"):
+        task.datasets()
+    assert len(task.datasets(16, 8)[0]) == 16
+    for seq_len, have in ((4, 1), (6, 6), (8, 29), (10, 46)):
+        task = ToyTask("majority-token", seed=0, seq_len=seq_len)
+        refusal = f"has {have} distinct sequences per label; the splits need {have + 1}$"
+        with pytest.raises(ValueError, match=refusal):
+            task.datasets(2 * have, 2)
+        if have > 1:  # exactly enough: every sequence of both labels
+            train_s, _, dev_s, _ = task.datasets(2 * have - 2, 2)
+            assert len(set(map(tuple, train_s + dev_s))) == 2 * have
+    for name, have in (("copy-first-label", 1), ("parity-of-token", 8)):
+        with pytest.raises(ValueError, match=f"has {have} distinct sequences per label"):
+            ToyTask(name, seed=0, seq_len=8, vocab_size=33).datasets(16, 2)
+    assert len(ToyTask("parity-of-token", seed=0, seq_len=8, vocab_size=33).datasets(14, 2)[0]) == 14
+
+
 def test_datasets_deterministic_balanced_disjoint():
     for name in tr.TASKS:
         task = generate_toy_task(name, seed=5)
@@ -402,7 +422,12 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
             ("adapter_only", "task", labels, ([], []), ValueError),
             ("adapter_only", "task", labels, ([[1, 99]] + seqs[1:4], labels[:4]), ShapeMismatchError),
             ("full_finetune", None, labels, ([[1, 2.5]] + seqs[1:4], labels[:4]), ShapeMismatchError),
-            ("adapter_only", None, labels, dev, ValueError)):  # empty stack
+            ("adapter_only", None, labels, dev, ValueError),  # empty stack
+            ("adapter_only", [], labels, dev, ValueError),  # empty stack, named
+            ("adapter_only", "task", labels[:-1] + [2], (None, None), ShapeMismatchError),  # 2-label head
+            ("full_finetune", None, [-1] + labels[1:], (None, None), ShapeMismatchError),
+            ("adapter_only", "task", labels, (seqs[:4], [0, 1, 2, 0]), ShapeMismatchError),
+            ("full_finetune", None, labels, (seqs[:4], [0, -1, 1, 0]), ShapeMismatchError)):
         with pytest.raises(fault):
             run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=50), adapter_name=name,
                          dev_sequences=dev_x, dev_labels=dev_y)
@@ -417,6 +442,15 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
     run_training(model, seqs, np.array(labels, np.uint8), TrainConfig(max_steps=1), adapter_name="task",
                  dev_sequences=dev[0], dev_labels=[np.int64(y) for y in dev[1]])
     assert state() != before
+    # no active head: refused before the stack or a flag changes
+    headless = AdapterModel(tiny_config, seed=0)
+    headless.add_adapter("task", reduction_factor=2)
+    flags = [t.requires_grad for _, t, _ in headless.named_parameters()]
+    for mode, name in (("adapter_only", "task"), ("full_finetune", None)):
+        with pytest.raises(UnknownAdapterError, match="unknown head None"):
+            run_training(headless, seqs, labels, TrainConfig(mode=mode, max_steps=2), adapter_name=name)
+        assert headless.active_adapters == []
+        assert [t.requires_grad for _, t, _ in headless.named_parameters()] == flags
 
 
 def test_out_of_range_token_ids_leave_the_stack_alone(tiny_config):
