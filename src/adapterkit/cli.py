@@ -9,6 +9,7 @@ files, unresolvable queries), 3 I/O and network failures.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -163,9 +164,8 @@ def cmd_train(args):
                           reduction_factor=args.reduction_factor)
 
     _info(f"training {args.task} in {args.mode} mode for {args.steps} steps")
-    result = training.run_training(
-        model, train_seqs, train_labels, train_config,
-        adapter_name=args.adapter_name if args.mode == "adapter_only" else None)
+    result = training.run_training(model, train_seqs, train_labels, train_config,
+                                   adapter_name=args.adapter_name)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,9 +332,10 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-size", type=int, default=256)
-    p.add_argument("--dev-size", type=int, default=64)
-    p.add_argument("--seq-len", type=int, default=16)
+    split_sizes = inspect.signature(training.ToyTask.datasets).parameters
+    p.add_argument("--train-size", type=int, default=split_sizes["train_size"].default)
+    p.add_argument("--dev-size", type=int, default=split_sizes["dev_size"].default)
+    p.add_argument("--seq-len", type=int, default=training.ToyTask.seq_len)
     p.add_argument("--out-dir", required=True)
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)

@@ -37,17 +37,26 @@ download, hashed chunk by chunk on its way into the cache.
 
 Adapter payloads are stored as float32 (4 bytes per parameter, exactly);
 backbone checkpoints keep float64 so training can resume bit-exactly.
+
+An archive is a zip of three stored members: the package, its adapter configuration
+text and a YAML metadata mapping. One renderer, :func:`_archive_bytes`, builds the
+members' local headers, the central directory and the end record with ``struct`` and
+``zlib.crc32``, so the published archive digests are fixed by this module alone. The
+reader finds the members through their local headers, each bounded by the file, and
+checks each header's name, method, flags and CRC-32 against the member's bytes before
+it parses the package; it then accepts the file only if it is byte for byte what the
+renderer writes for that package and metadata. Neither writes nor accepts zip64
+records, which bounds an archive at 2 GiB.
 """
 
 import errno
 import hashlib
-import io
 import itertools
 import math
 import os
 import struct
 import threading
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -380,17 +389,42 @@ def load_backbone_checkpoint(path):
 # ---------------------------------------------------------------------------
 # zip archives (package + config text + metadata)
 
+# a zip writer needs zip64 records for a member whose size times 1.05 exceeds this, or for a
+# central directory that starts past it; :func:`_archive_bytes` writes none, so it refuses both
+_ZIP64_LIMIT = (1 << 31) - 1
+_LOCAL_HEADER = struct.Struct("<4s5H3L2H")
+_CENTRAL_RECORD = struct.Struct("<4s6H3L5H2L")
+_DOS_DATE = 1 << 5 | 1  # 1980-01-01, at DOS time 0 (00:00)
+
+
+def _local_header(name, crc, size):
+    """A stored member's local header, name included: version 20, no flags, no extra field."""
+    return _LOCAL_HEADER.pack(b"PK\x03\x04", 20, 0, 0, 0, _DOS_DATE, crc, size, size, len(name), 0) + name
+
 
 def _archive_bytes(package_bytes, pkg, metadata_bytes):
-    """The bytes :func:`pack_archive` writes: three stored members, fixed order and timestamps."""
+    """The bytes :func:`pack_archive` writes: three stored members, fixed order and timestamps.
+
+    The central directory's records are made by version 20 on a unix system (0x0314), with
+    external attributes ``0o600 << 16`` and no comments. An archive that would need zip64
+    records raises :class:`PackageFormatError`.
+    """
     members = (package_bytes, pkg.adapter_config.descriptor().encode("utf-8"), metadata_bytes)
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        for name, member in zip(_ARCHIVE_MEMBERS, members):
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            info.create_system = 3  # unix, which zipfile picks everywhere but Windows
-            zf.writestr(info, member)
-    return buf.getvalue()
+    local, central = [], []
+    offset = 0
+    for label, member in zip(_ARCHIVE_MEMBERS, members):
+        name, size, crc = label.encode("ascii"), len(member), zlib.crc32(member)
+        if size * 1.05 > _ZIP64_LIMIT:
+            raise PackageFormatError(f"archive member {label} would need zip64 records")
+        local += [_local_header(name, crc, size), member]
+        central += [_CENTRAL_RECORD.pack(b"PK\x01\x02", 0x0314, 20, 0, 0, 0, _DOS_DATE, crc, size, size,
+                                         len(name), 0, 0, 0, 0, 0o600 << 16, offset), name]
+        offset += _LOCAL_HEADER.size + len(name) + size
+    if offset > _ZIP64_LIMIT:
+        raise PackageFormatError("archive central directory would need zip64 records")
+    directory = b"".join(central)
+    end = struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 3, 3, len(directory), offset, 0)
+    return b"".join([*local, directory, end])
 
 
 def _read_metadata(metadata_bytes):
@@ -407,8 +441,10 @@ def _read_metadata(metadata_bytes):
 def pack_archive(zip_path, package_path, metadata):
     """Bundle a package file with its config text and metadata into a zip; returns its sha256.
 
-    Metadata that :func:`read_archive` would refuse raises :class:`PackageFormatError`
-    before anything is written.
+    Metadata that :func:`read_archive` would refuse, and an archive that would need zip64
+    records (a member over about 1.9 GiB, or more than 2 GiB before the central directory),
+    raise :class:`PackageFormatError` before anything is written; the hub refuses downloads
+    over ``hub.DOWNLOAD_MAX_BYTES`` (1 GiB) in any case.
     """
     package_bytes = Path(package_path).read_bytes()
     try:
@@ -424,29 +460,30 @@ def pack_archive(zip_path, package_path, metadata):
 def read_archive(zip_path):
     """Return (:class:`AdapterPackage`, metadata mapping) from an archive.
 
-    The zip framing and the package are accepted only byte for byte as :func:`pack_archive` writes
-    them; the metadata member may be any YAML text of a mapping (rendering it again would cost a
-    ``yaml.safe_dump`` per read). A file that cannot be opened raises ``OSError``; any other fault
-    raises :class:`PackageFormatError`.
+    The members are found through their local headers, each bounded by the file, and a header
+    whose name, method, flags or CRC-32 disagrees with its member is refused before the package
+    is parsed. The file is then accepted only byte for byte as :func:`pack_archive` writes it;
+    the metadata member may be any YAML text of a mapping (rendering it again would cost a
+    ``yaml.safe_dump`` per read). A file that cannot be opened raises ``OSError``; any other
+    fault raises :class:`PackageFormatError`.
     """
     data = Path(zip_path).read_bytes()
-    try:
-        with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            infos = zf.infolist()
-            if (tuple(info.filename for info in infos) != _ARCHIVE_MEMBERS
-                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos)):
-                raise PackageFormatError(f"archive must hold exactly the stored members {_ARCHIVE_MEMBERS}")
-            package_bytes, metadata_bytes = zf.read(ARCHIVE_PACKAGE), zf.read(ARCHIVE_METADATA)
-        pkg = parse_adapter_package(package_bytes)
-        if _archive_bytes(package_bytes, pkg, metadata_bytes) != data:
-            raise PackageFormatError("archive is not in the form pack_archive writes")
-    except _ARCHIVE_FAULTS as exc:
-        raise PackageFormatError(f"unreadable archive: {type(exc).__name__}: {exc}") from None
+    members = []
+    pos = 0
+    for name in _ARCHIVE_MEMBERS:
+        start = pos + _LOCAL_HEADER.size + len(name)
+        crc, size = _LOCAL_HEADER.unpack_from(data, pos)[6:8] if start <= len(data) else (0, 0)
+        if data[pos:start] != _local_header(name.encode("ascii"), crc, size) or start + size > len(data):
+            raise PackageFormatError(f"archive must hold exactly the stored members {_ARCHIVE_MEMBERS}")
+        pos = start + size
+        members.append(data[start:pos])
+        if zlib.crc32(members[-1]) != crc:
+            raise PackageFormatError(f"archive member {name} does not match its CRC-32")
+    package_bytes, _, metadata_bytes = members
+    pkg = parse_adapter_package(package_bytes)
+    if _archive_bytes(package_bytes, pkg, metadata_bytes) != data:
+        raise PackageFormatError("archive is not in the form pack_archive writes")
     return pkg, _read_metadata(metadata_bytes)
-
-
-# what zipfile raises on damaged bytes; RuntimeError covers an encryption flag
-_ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, OSError, ValueError, RuntimeError)
 
 
 def verify_package(path):

@@ -331,9 +331,10 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     In adapter_only mode the backbone freezes and only the named adapters
     (``adapter_name`` may be one name or a list; omitted, the model's
     already-active stack is used) plus the heads receive updates. In
-    full_finetune mode every backbone tensor trains and no adapter is
-    activated. The active head computes the loss. The recorded loss at each step is computed before that
-    step's update, so ``losses[0]`` is the untrained model's loss.
+    full_finetune mode every backbone tensor trains, no adapter is
+    activated and ``adapter_name`` must be None. The active head computes the loss. The recorded
+    loss at each step is computed before that step's update, so ``losses[0]`` is the untrained
+    model's loss.
     """
     labels_arr = _split_labels(sequences, labels)
     if (dev_sequences is None) != (dev_labels is None):
@@ -342,8 +343,8 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     if dev_sequences is not None:
         label_splits.append(_split_labels(dev_sequences, dev_labels, "dev_labels"))
     # draw every step's batch up front and refuse bad token ids in them (and in the dev split),
-    # labels the active head cannot score and an empty stack, before the mode switch below
-    # changes the stack or what trains
+    # labels the active head cannot score, an adapter name in full_finetune mode and an empty
+    # stack, before the mode switch below changes the stack or what trains
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     steps = list(itertools.islice(_batches(len(sequences), config.batch_size, rng), config.max_steps))
     bb._packed_ids(model.config, [sequences[i] for i in np.unique(np.concatenate(steps))])
@@ -352,6 +353,8 @@ def run_training(model, sequences, labels, config, adapter_name=None,
     classes = model.get_head().num_labels
     if any(y.min() < 0 or y.max() >= classes for y in label_splits):
         raise ShapeMismatchError(f"labels out of range [0, {classes}) of the active head")
+    if config.mode == "full_finetune" and adapter_name is not None:
+        raise ValueError("full_finetune mode trains no adapter; adapter_name must be None")
     if config.mode == "adapter_only":
         names = model.active_adapters if adapter_name is None else adapter_name
         names = [names] if isinstance(names, str) else list(names)

@@ -16,7 +16,7 @@ from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import (_model_config, build_parser, main, read_labels, read_sequences, write_labels,
                             write_sequences)
 from adapterkit.manager import AdapterModel
-from adapterkit.training import TrainConfig
+from adapterkit.training import ToyTask, TrainConfig
 from conftest import negative_size_package, reheader
 
 TINY_FLAGS = ["--hidden-size", "8", "--layers", "1", "--heads", "2",
@@ -57,6 +57,9 @@ def test_train_defaults_come_from_the_configs():
     defaults = TrainConfig()
     assert (args.mode, args.steps, args.batch_size, args.lr) == (
         defaults.mode, defaults.max_steps, defaults.batch_size, defaults.learning_rate)
+    task = ToyTask("copy-first-label", seed=0)
+    train_seqs, _, dev_seqs, _ = task.datasets()
+    assert (args.seq_len, args.train_size, args.dev_size) == (task.seq_len, len(train_seqs), len(dev_seqs))
 
 
 def test_sequence_and_label_files_round_trip(tmp_path):
@@ -151,7 +154,9 @@ def test_train_rejects_non_finite_learning_rate_before_writing(tmp_path, capsys)
             ("seq-len", ["--seq-len", "3"], "seq_len must be"),
             ("train-size", ["--train-size", "3"], "split sizes must be"),
             ("dev-size", ["--dev-size", "5"], "split sizes must be"),
-            ("reduction-factor", ["--reduction-factor", "0"], "reduction_factor")):
+            ("reduction-factor", ["--reduction-factor", "0"], "reduction_factor"),
+            ("full-finetune-name", ["--mode", "full_finetune", "--seq-len", "6"],
+             "adapter_name must be None")):
         out_dir = tmp_path / name
         assert main(["train", "--task", "copy-first-label", "--adapter-name", "a", "--steps", "1",
                      *flags, "--out-dir", str(out_dir), *TINY_FLAGS]) == 1

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import hashlib
+import math
 import os
 import sys
 import tracemalloc
@@ -406,6 +407,63 @@ def test_read_archive_rejects_bad_inputs(tmp_path, tiny_config):
         bad.write_bytes(pio._archive_bytes(data, pkg, metadata))
         with pytest.raises(PackageFormatError, match=fault):
             pio.read_archive(bad)
+
+
+def test_read_archive_refuses_each_framing_fault(tmp_path, tiny_config):
+    path, _, _ = _headed_package(tmp_path, tiny_config, seed=20)
+    good = tmp_path / "good.zip"
+    pio.pack_archive(good, path, {"adapter_id": "probe"})
+    archive = good.read_bytes()
+    second = 30 + len(pio.ARCHIVE_PACKAGE) + int.from_bytes(archive[18:22], "little")
+
+    def first_header(at, value):  # the first local header with the field at ``at`` set to ``value``
+        return archive[:at] + value + archive[at + len(value):]
+
+    fourth = tmp_path / "fourth.zip"
+    fourth.write_bytes(archive)
+    with zipfile.ZipFile(fourth, "a") as zf:
+        zf.writestr(zipfile.ZipInfo("extra.txt", (1980, 1, 1, 0, 0, 0)), b"x")
+    flipped_member = bytearray(archive)
+    flipped_member[second - 1] ^= 1  # the package's last byte, which its own digest also covers
+    for name, data, fault in (
+            ("name", first_header(30, b"adapter.pkh"), "stored members"),
+            ("deflated", first_header(8, (8).to_bytes(2, "little")), "stored members"),
+            ("data-descriptor", first_header(6, (8).to_bytes(2, "little")), "stored members"),
+            ("crc", first_header(14, (int.from_bytes(archive[14:18], "little") ^ 1).to_bytes(4, "little")),
+             "adapter.pkg does not match its CRC-32"),
+            ("member-byte", bytes(flipped_member), "adapter.pkg does not match its CRC-32"),
+            ("fourth-member", fourth.read_bytes(), "not in the form pack_archive writes"),
+            ("trailing", archive + b"\0", "not in the form pack_archive writes"),
+            ("first-header-cut", archive[:29], "stored members"),
+            ("first-member-cut", archive[:second - 1], "stored members"),
+            ("second-header-cut", archive[:second + 29], "stored members")):
+        bad = tmp_path / f"{name}.zip"
+        bad.write_bytes(data)
+        with pytest.raises(PackageFormatError, match=fault):
+            pio.read_archive(bad)
+
+
+def test_archives_that_need_zip64_records_are_refused(tmp_path, tiny_config, monkeypatch):
+    """Under a bound lowered to a few KB, the writer refuses before writing a byte and the reader
+    refuses an archive written under the real bound, for a member and for the central directory."""
+    path, data, _ = _headed_package(tmp_path, tiny_config, seed=21)
+    member_bound = math.ceil(len(data) * 1.05)  # the package is the largest member it admits
+    padded = {"adapter_id": "probe", "pad": "x" * (member_bound // 10)}
+    out = tmp_path / "out.zip"
+    for limit, metadata, fault in (
+            (member_bound - 1, {"adapter_id": "probe"}, "member adapter.pkg would need zip64 records"),
+            (member_bound, padded, "central directory would need zip64 records")):
+        archive = tmp_path / f"{limit}.zip"
+        pio.pack_archive(archive, path, metadata)
+        with monkeypatch.context() as patch:
+            patch.setattr(pio, "_ZIP64_LIMIT", limit)
+            assert limit < 2**14
+            with pytest.raises(PackageFormatError, match=fault):
+                pio.pack_archive(out, path, metadata)
+            assert list(tmp_path.glob("out.zip*")) == []
+            with pytest.raises(PackageFormatError, match=fault):
+                pio.read_archive(archive)
+        pio.read_archive(archive)
 
 
 def test_pack_archive_refuses_metadata_the_reader_refuses(tmp_path, tiny_config):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,25 @@ def test_flipped_and_truncated_archives(runnable, tmp_path, data):
         accepted = True
     assert main(["run", "--checkpoint", str(runnable / "base.ckpt"), "--archive", str(path),
                  "--inputs", str(runnable / "inputs.txt")]) == (0 if accepted else 2)
+
+
+def _zipfile_archive(members):
+    """The archive zipfile writes for three stored members dated 1980-01-01 on a unix system."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
+        for name, member in zip(pio._ARCHIVE_MEMBERS, members):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.create_system = 3
+            zf.writestr(info, member)
+    return buf.getvalue()
+
+
+@_SETTINGS
+@given(package=st.binary(max_size=4096), config=st.text(max_size=1024), metadata=st.binary(max_size=4096))
+def test_archive_bytes_are_what_zipfile_writes(package, config, metadata):
+    pkg = SimpleNamespace(adapter_config=SimpleNamespace(descriptor=lambda: config))
+    assert pio._archive_bytes(package, pkg, metadata) == _zipfile_archive(
+        (package, config.encode("utf-8"), metadata))
 
 
 @pytest.fixture(scope="module")

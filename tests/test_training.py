@@ -427,7 +427,9 @@ def test_refused_runs_leave_the_training_mode_alone(tiny_config):
             ("adapter_only", "task", labels[:-1] + [2], (None, None), ShapeMismatchError),  # 2-label head
             ("full_finetune", None, [-1] + labels[1:], (None, None), ShapeMismatchError),
             ("adapter_only", "task", labels, (seqs[:4], [0, 1, 2, 0]), ShapeMismatchError),
-            ("full_finetune", None, labels, (seqs[:4], [0, -1, 1, 0]), ShapeMismatchError)):
+            ("full_finetune", None, labels, (seqs[:4], [0, -1, 1, 0]), ShapeMismatchError),
+            ("full_finetune", "task", labels, (None, None), ValueError),  # an adapter name trains no adapter
+            ("full_finetune", ["task"], labels, dev, ValueError)):
         with pytest.raises(fault):
             run_training(model, seqs, run_labels, TrainConfig(mode=mode, max_steps=50), adapter_name=name,
                          dev_sequences=dev_x, dev_labels=dev_y)
