@@ -7,9 +7,12 @@ feed-forward sublayer (``output_adapter``). The remaining knobs pick which
 hook signal feeds the adapter, which signal its skip connection adds back,
 and whether fresh LayerNorms wrap the projections.
 
-This module owns how a stack wires into a sublayer: the encoder hands each
-insertion point's sublayer output to :func:`through_insertion_point`, which
-alone reads those knobs.
+This module owns what an adapter is and how a stack wires into a sublayer.
+:class:`AdapterEntry` holds one adapter's per-layer ``{point: AdapterLayerWeights}``,
+which :func:`build_adapter_weights` makes, fresh or loaded, and names
+``layer<i>.<point>.<field>``. :func:`layer_hooks` turns an ordered stack into the
+encoder's per-layer hooks, and the encoder hands each insertion point's sublayer
+output to :func:`through_insertion_point`, which alone reads those knobs.
 
 Freshly initialized adapters are exact identities on their residual path
 (the up-projection starts at zero), so stitching one into a model never
@@ -183,20 +186,26 @@ def point_layout(hidden_size, config):
     return layout
 
 
-def qualify(num_layers, config, per_point):
-    """Each layer's and point's ``per_point(i, point)`` (name, value) pairs as ``layer{i}.{point}.{name}``."""
-    points = config.insertion_points()
-    for i in range(num_layers):
-        for point in points:
-            prefix = f"layer{i}.{point}."
-            for name, value in per_point(i, point):
-                yield prefix + name, value
+def _instances(num_layers, config):
+    """(layer, point, name prefix) of every adapter instance, layer by layer, points in layer order."""
+    return ((i, point, f"layer{i}.{point}.") for i in range(num_layers) for point in config.insertion_points())
 
 
 def adapter_layout(model_config, config):
     """Ordered (name, shape) of every adapter tensor, lazily, in ``AdapterEntry.named_tensors`` order."""
     layout = point_layout(model_config.hidden_size, config)
-    return qualify(model_config.num_layers, config, lambda i, point: layout)
+    return ((prefix + name, shape) for _, _, prefix in _instances(model_config.num_layers, config)
+            for name, shape in layout)
+
+
+def build_adapter_weights(model_config, config, make):
+    """Every layer's ``{point: AdapterLayerWeights}`` whose tensors are ``make(qualified name, shape)``,
+    made in :func:`adapter_layout` order: the adapter counterpart of ``backbone.build_backbone``."""
+    layout = point_layout(model_config.hidden_size, config)
+    weights = [{} for _ in range(model_config.num_layers)]
+    for i, point, prefix in _instances(model_config.num_layers, config):
+        weights[i][point] = AdapterLayerWeights(**{n: make(prefix + n, shape) for n, shape in layout})
+    return weights
 
 
 def head_layout(hidden_size, num_labels):
@@ -218,15 +227,47 @@ def truncated_normal(rng, shape):
     return out
 
 
-def init_layer_weights(hidden_size, config, rng):
-    """Identity-initialized weights: down-projection random, LN gains one, everything else zero."""
-    def init(name, shape):
-        if name == "w_down":
-            return truncated_normal(rng, shape)
-        return np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
+def _init_tensor(rng, name, shape):
+    """Identity initialization: down-projection random, LN gains one, everything else zero."""
+    if name.endswith("w_down"):
+        return ad.tensor(truncated_normal(rng, shape))
+    return ad.tensor(np.ones(shape) if name.endswith("gamma") else np.zeros(shape))
 
-    return AdapterLayerWeights(**{name: ad.tensor(init(name, shape))
+
+def init_layer_weights(hidden_size, config, rng):
+    """Identity-initialized weights of one adapter instance (one layer, one point)."""
+    return AdapterLayerWeights(**{name: _init_tensor(rng, name, shape)
                                   for name, shape in point_layout(hidden_size, config)})
+
+
+@dataclass
+class AdapterEntry:
+    """One registered adapter: identity, architecture, per-layer weights."""
+
+    name: str
+    adapter_type: str
+    config: AdapterConfig
+    weights: list  # per layer: {insertion point: AdapterLayerWeights}, as build_adapter_weights makes it
+    trained: bool = False
+
+    def named_tensors(self):
+        return ((prefix + name, t) for i, point, prefix in _instances(len(self.weights), self.config)
+                for name, t in self.weights[i][point].named_tensors())
+
+
+def new_adapter_entry(model_config, name, adapter_type, config, rng):
+    """Build a freshly initialized adapter for a given backbone shape."""
+    validate_identity(name, adapter_type)
+    weights = build_adapter_weights(model_config, config, lambda n, shape: _init_tensor(rng, n, shape))
+    return AdapterEntry(name, adapter_type, config, weights)
+
+
+def layer_hooks(stack, num_layers):
+    """The encoder's per-layer ``(attention hooks, output hooks)`` for an ordered stack of entries;
+    each point's hooks are the ``(weights, config)`` pairs of the entries that hook it, in stack order."""
+    return [[[(e.weights[i][point], e.config) for e in stack if point in e.weights[i]]
+             for point in INSERTION_POINTS]
+            for i in range(num_layers)]
 
 
 def adapter_forward(hidden, residual, weights, config, ln_epsilon=1e-12):

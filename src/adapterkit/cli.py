@@ -52,9 +52,12 @@ def _info(message):
 # small file formats: one token id sequence per line / one label per line
 
 
+def _write_lines(path, lines):
+    package_io._atomic_write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
+
+
 def write_sequences(path, sequences):
-    text = "\n".join(" ".join(str(t) for t in seq) for seq in sequences)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_lines(path, (" ".join(str(t) for t in seq) for seq in sequences))
 
 
 def _read_text(path, error):
@@ -85,7 +88,7 @@ def read_sequences(path):
 
 
 def write_labels(path, labels):
-    Path(path).write_text("\n".join(str(int(l)) for l in labels) + "\n", encoding="utf-8")
+    _write_lines(path, (str(int(l)) for l in labels))
 
 
 def read_labels(path):
@@ -299,7 +302,7 @@ def cmd_explore(args):
 def cmd_search(args):
     entries = hub.parse_index(_read_text(args.index, RegistryError))
     model_hash = args.model_config_hash
-    if args.checkpoint:
+    if args.checkpoint:  # the parser allows only one of the two
         config, _ = package_io.load_backbone_checkpoint(args.checkpoint)
         model_hash = config.config_hash()
     entry = hub.resolve(entries, args.query, model_config_hash=model_hash, adapter_type=args.type)
@@ -381,9 +384,10 @@ def build_parser():
     p = sub.add_parser("search", help="resolve a query to exactly one hub entry")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--model-config-hash", default=None)
-    p.add_argument("--checkpoint", default=None,
-                   help="filter to entries compatible with this checkpoint")
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--model-config-hash", default=None)
+    model.add_argument("--checkpoint", default=None,
+                       help="filter to entries compatible with this checkpoint")
     p.add_argument("--type", choices=ADAPTER_TYPES, default=None)
     p.add_argument("--fetch", action="store_true", help="also download into the cache")
     p.add_argument("--cache-dir", default=None,

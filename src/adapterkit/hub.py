@@ -12,10 +12,14 @@ then a category, then the concrete dataset or variant, e.g.
 ``text_task / sentiment / sst-2``.
 """
 
+import contextlib
 import hashlib
+import http.client
 import json
 import os
 import re
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -265,27 +269,70 @@ def default_cache_dir():
     return Path.home() / ".cache" / "adapterkit"
 
 
+_fetching = threading.local()  # deadline and timers of the fetch this thread runs, set as _download starts
+
+
+def _shut_down(sock):
+    with contextlib.suppress(OSError):  # closed already
+        sock.shutdown(socket.SHUT_RDWR)
+
+
+class _HTTPConnection(http.client.HTTPConnection):
+    """Once connected, before the request is sent, arms a timer that shuts the socket down at the
+    running fetch's deadline, so every read ends by then, the status line's and headers' included."""
+
+    def connect(self):
+        super().connect()
+        timer = threading.Timer(_fetching.deadline - time.monotonic(), _shut_down, (self.sock,))
+        _fetching.timers.append(timer)
+        timer.start()
+
+
+class _HTTPSConnection(_HTTPConnection, http.client.HTTPSConnection):
+    pass  # connects, then shakes hands, then arms the timer
+
+
+class _WatchedHandler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+    """Opens http and https URLs through watched connections."""
+
+    def http_open(self, req):
+        return self.do_open(_HTTPConnection, req)
+
+    def https_open(self, req):
+        return self.do_open(_HTTPSConnection, req, context=self._context)
+
+
+_OPENER = urllib.request.build_opener(_WatchedHandler)
+
+
 def _download(url, sha256):
     """Yield the body at ``url`` chunk by chunk, hashed as it passes, then raise
     :class:`ChecksumError` if its SHA-256 is not ``sha256``, so a writer drops the mismatch.
-    A body that is still arriving ``DOWNLOAD_DEADLINE_S`` after the start raises :class:`TransportError`."""
+    A fetch still running ``DOWNLOAD_DEADLINE_S`` after the start raises :class:`TransportError`."""
     h, size = hashlib.sha256(), 0
-    deadline = time.monotonic() + DOWNLOAD_DEADLINE_S
+    deadline = _fetching.deadline = time.monotonic() + DOWNLOAD_DEADLINE_S
+    timers = _fetching.timers = []
     try:
         scheme = urlsplit(url).scheme
         if scheme not in _URL_SCHEMES:
             raise TransportError(f"unsupported url scheme {scheme!r}")
-        with urllib.request.urlopen(url, timeout=DOWNLOAD_TIMEOUT_S) as resp:
+        open_url = urllib.request.urlopen if scheme == "file" else _OPENER.open
+        with open_url(url, timeout=DOWNLOAD_TIMEOUT_S) as resp:
             while chunk := resp.read1(_DOWNLOAD_CHUNK):  # what one socket read gives, not a full chunk
                 size += len(chunk)
                 if size > DOWNLOAD_MAX_BYTES:
                     raise TransportError(f"{url} is larger than {DOWNLOAD_MAX_BYTES} bytes")
-                if time.monotonic() > deadline:
-                    raise TransportError(f"{url} took longer than {DOWNLOAD_DEADLINE_S} s")
                 h.update(chunk)
                 yield chunk
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        raise TransportError(f"fetch failed for {url}: {exc}") from None
+    except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
+        if time.monotonic() <= deadline:  # past it, the failure is the watchdog's shutdown: see below
+            raise TransportError(f"fetch failed for {url}: {exc}") from None
+    finally:
+        for timer in timers:
+            timer.cancel()
+            timer.join()
+    if time.monotonic() > deadline:
+        raise TransportError(f"{url} took longer than {DOWNLOAD_DEADLINE_S} s")
     actual = h.hexdigest()
     if actual != sha256:
         raise ChecksumError(
@@ -298,6 +345,10 @@ def fetch(url, sha256, cache_dir=None):
     The cache key is the expected sha256, so a file already present (and still matching)
     is returned without touching the network. A download is hashed as it is written, and
     one that does not match never reaches the cache. Returns ``(path, downloaded)``.
+
+    Each socket operation waits at most ``DOWNLOAD_TIMEOUT_S``; reading the status line, headers
+    and body ends ``DOWNLOAD_DEADLINE_S`` after the start. Name resolution (``getaddrinfo`` takes
+    no timeout), the connect and a TLS handshake have only the per-operation bound.
     """
     if not _HEX64.match(sha256 or ""):
         raise ChecksumError(f"expected sha256 must be 64 hex characters, got {sha256!r}")

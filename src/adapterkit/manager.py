@@ -4,7 +4,8 @@ An :class:`AdapterModel` owns one backbone and a registry of named adapters.
 Any subset of adapters can be activated as an ordered stack; training mode
 decides which tensors receive gradients. Prediction heads are small linear
 layers over the pooled first-position vector, registered by name alongside
-the adapters.
+the adapters. How an adapter is built and wired into the encoder lives in
+:mod:`adapterkit.adapters`; this module only keeps the registry.
 """
 
 import hashlib
@@ -16,25 +17,11 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import package_io
-from .adapters import (INSERTION_POINTS, AdapterConfig, AdapterLayerWeights, adapter_layout,
-                       count_adapter_params, head_layout, init_layer_weights, point_layout, qualify,
-                       resolve_config, validate_identity, validate_name)
+from .adapters import (AdapterEntry, adapter_layout, build_adapter_weights, count_adapter_params,
+                       head_layout, layer_hooks, new_adapter_entry, resolve_config, validate_identity,
+                       validate_name)
 from .codec import as_count
 from .errors import CompatibilityError, ShapeMismatchError, UnknownAdapterError
-
-
-@dataclass
-class AdapterEntry:
-    """One registered adapter: identity, architecture, per-layer weights."""
-
-    name: str
-    adapter_type: str
-    config: AdapterConfig
-    weights: list  # per layer: {insertion point: AdapterLayerWeights}
-    trained: bool = False
-
-    def named_tensors(self):
-        return qualify(len(self.weights), self.config, lambda i, p: self.weights[i][p].named_tensors())
 
 
 @dataclass
@@ -66,28 +53,6 @@ def _digest(named_tensors):
         h.update(str(t.shape).encode("ascii"))
         h.update(np.ascontiguousarray(t.data).tobytes())
     return h.hexdigest()
-
-
-def new_adapter_entry(model_config, name, adapter_type, config, rng):
-    """Build a freshly initialized adapter for a given backbone shape."""
-    validate_identity(name, adapter_type)
-    weights = []
-    for _ in range(model_config.num_layers):
-        weights.append({point: init_layer_weights(model_config.hidden_size, config, rng)
-                        for point in config.insertion_points()})
-    return AdapterEntry(name=name, adapter_type=adapter_type, config=config, weights=weights)
-
-
-def entry_from_package(pkg, name=None):
-    """Reconstruct a registrable adapter from a decoded package."""
-    cfg = pkg.adapter_config
-    names = [n for n, _ in point_layout(pkg.model_config.hidden_size, cfg)]
-    tensors = (ad.tensor(pkg.tensors[n]) for n, _ in adapter_layout(pkg.model_config, cfg))
-    # the layout runs point by point, so each point takes the next len(names) tensors
-    weights = [{point: AdapterLayerWeights(**dict(zip(names, tensors))) for point in cfg.insertion_points()}
-               for _ in range(pkg.model_config.num_layers)]
-    return AdapterEntry(name=name or pkg.name, adapter_type=pkg.adapter_type,
-                        config=cfg, weights=weights, trained=pkg.trained)
 
 
 class AdapterModel:
@@ -250,12 +215,7 @@ class AdapterModel:
     # -- forward ----------------------------------------------------------------
 
     def _layer_hooks(self):
-        stack = self._stack
-        if not stack:
-            return None
-        return [[[(e.weights[i][point], e.config) for e in stack if point in e.weights[i]]
-                 for point in INSERTION_POINTS]
-                for i in range(self.config.num_layers)]
+        return layer_hooks(self._stack, self.config.num_layers)
 
     def encode(self, token_ids):
         """Run the encoder with the active adapter stack spliced in."""
@@ -302,8 +262,10 @@ class AdapterModel:
                 f"adapter {pkg.name!r} was extracted from model hash "
                 f"{pkg.model_config_hash[:12]}..., this model is "
                 f"{self.config.config_hash()[:12]}...")
-        entry = entry_from_package(pkg, rename)
-        self.install_adapter(entry)
+        weights = build_adapter_weights(self.config, pkg.adapter_config,
+                                        lambda name, _: ad.tensor(pkg.tensors[name]))
+        entry = self.install_adapter(AdapterEntry(rename or pkg.name, pkg.adapter_type, pkg.adapter_config,
+                                                  weights, pkg.trained))
         if pkg.head is not None:
             head_name, num_labels, w, b = pkg.head
             self.install_head(PredictionHead(head_name, num_labels, ad.tensor(w), ad.tensor(b)),

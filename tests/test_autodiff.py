@@ -277,6 +277,12 @@ def test_finished_tape_is_freed_without_the_cyclic_gc():
 # backward pass
 
 
+def test_cross_entropy_refuses_a_label_count_that_is_not_the_row_count():
+    logits = _t(np.random.default_rng(10), 4, 3)
+    for labels in ([0, 1, 2], [0, 1, 2, 1, 0]):
+        with pytest.raises(ShapeMismatchError, match=r"logits \(4, 3\) with labels shape"):
+            ad.cross_entropy(logits, labels)
+
 def test_backward_requires_scalar_attached_loss():
     rng = np.random.default_rng(17)
     x = _t(rng, 2, 2, requires_grad=True)
@@ -296,6 +302,16 @@ def test_backward_accumulates_reused_input():
         grads = ad.backward(loss)
     assert np.array_equal(grads[x], np.full((2, 2), 2.0))
 
+
+def test_backward_skips_a_tracked_result_the_loss_does_not_use():
+    x = ad.tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.Tape() as tape:
+        unused = ad.relu(x)
+        loss = ad.sum_all(ad.add(x, x))
+        assert [rec.kind for rec in tape.records] == ["relu", "add", "sum_all"]
+        assert tape.records[0].output is unused
+        grads = ad.backward(loss)
+    assert set(grads) == {x} and np.array_equal(grads[x], np.full((2, 2), 2.0))
 
 def test_backward_only_reports_requires_grad_leaves():
     rng = np.random.default_rng(18)

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from adapterkit import package_io
+from adapterkit.adapters import AdapterConfig
 from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import (_model_config, build_parser, main, read_labels, read_sequences, write_labels,
                             write_sequences)
@@ -331,6 +333,62 @@ def test_search_failure_modes(tmp_path, capsys):
                  "--cache-dir", str(tmp_path / "cache")]) == 3
     capsys.readouterr()
 
+
+def test_search_takes_the_model_hash_from_one_flag(capsys):
+    assert main(["search", "--index", "i.json", "--query", "sst", "--model-config-hash", "a" * 64,
+                 "--checkpoint", "b.ckpt"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_explore_filters_by_type(tmp_path, capsys):
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    for name, adapter_type in (("sst-2", "text_task"), ("de-wiki", "text_lang")):
+        (cards / f"{name}.yaml").write_text(
+            f"adapter_id: {name}\nadapter_type: {adapter_type}\nlevel2: toy\nlevel3: {name}\n"
+            f"model_type: mini-bert\nmodel_config_hash: {'a' * 64}\nadapter_config_hash: {'b' * 64}\n"
+            f"url: file:///tmp/{name}.zip\nsha256: {'c' * 64}\n", encoding="utf-8")
+    index = tmp_path / "index.json"
+    assert main(["index", "--cards", str(cards), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["explore", "--index", str(index), "--type", "text_lang"]) == 0
+    out = capsys.readouterr().out
+    assert "de-wiki" in out and "sst-2" not in out
+    assert main(["explore", "--index", str(index)]) == 0
+    out = capsys.readouterr().out
+    assert "de-wiki" in out and "sst-2" in out
+
+
+def test_pack_of_a_config_that_is_no_preset_writes_no_preset(tmp_path, capsys, tiny_config):
+    model = AdapterModel(tiny_config, seed=1)
+    model.add_adapter("odd", config=AdapterConfig(reduction_factor=2, non_linearity="tanh"))
+    model.save_adapter("odd", tmp_path / "odd.pkg")
+    card = tmp_path / "odd.yaml"
+    assert main(["pack", "--package", str(tmp_path / "odd.pkg"), "--out", str(tmp_path / "odd.zip"),
+                 "--adapter-id", "odd", "--level2", "toy", "--level3", "odd", "--card", str(card)]) == 0
+    assert "preset" not in json.loads(capsys.readouterr().out)["card"]
+    assert "preset" not in yaml.safe_load(card.read_text(encoding="utf-8"))
+
+
+def test_run_refuses_bad_inputs_labels_and_a_headless_package(tmp_path, capsys):
+    out_dir, _ = _train(tmp_path, capsys, steps="2")
+    ckpt, pkg = out_dir / "backbone.ckpt", out_dir / "copycat.pkg"
+    inputs, labels = tmp_path / "inputs.txt", tmp_path / "labels.txt"
+    write_labels(labels, [0])
+    for text, fault in (("1 2\n3 x\n", f"{inputs}:2: token ids must be integers"),
+                        ("\n \n", f"{inputs}: no input sequences"),
+                        ("1 2\n3 4\n", "2 inputs but 1 labels")):
+        inputs.write_text(text, encoding="utf-8")
+        assert main(["run", "--checkpoint", str(ckpt), "--package", str(pkg), "--inputs", str(inputs),
+                     "--labels", str(labels)]) == 2
+        assert fault in capsys.readouterr().err
+    config, weights = package_io.load_backbone_checkpoint(ckpt)
+    model = AdapterModel(config, weights=weights)
+    model.add_adapter("bare", reduction_factor=2)
+    model.save_adapter("bare", tmp_path / "bare.pkg")
+    assert main(["run", "--checkpoint", str(ckpt), "--package", str(tmp_path / "bare.pkg"),
+                 "--inputs", str(out_dir / "dev_inputs.txt")]) == 2
+    assert "has no bundled prediction head" in capsys.readouterr().err
 
 def test_pack_refuses_a_card_before_writing(tmp_path, capsys, tiny_config):
     model = AdapterModel(tiny_config, seed=1)

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import socket
 import threading
 import time
 import tracemalloc
@@ -407,6 +409,49 @@ def test_fetch_is_bounded_in_wall_time(tmp_path, monkeypatch):
     assert (earlier.stat().st_mtime_ns, earlier.stat().st_ino) == (before.st_mtime_ns, before.st_ino)
 
 
+def test_fetch_bounds_drip_fed_headers(tmp_path, monkeypatch):
+    """A mirror that sends its status line and headers one byte every 0.2 s is cut off at the deadline."""
+    response = b"HTTP/1.0 200 OK\r\nX-Slow: fifteen bytes..\r\nContent-Length: 4\r\n\r\nbody"
+    stop = threading.Event()
+    try:
+        listener = socket.create_server(("127.0.0.1", 0))
+    except OSError:
+        pytest.skip("cannot bind a localhost socket here")
+    listener.settimeout(5.0)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)  # the request
+            for byte in response:
+                if stop.wait(0.2):
+                    return
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:  # the client hung up
+                    return
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    monkeypatch.setattr(hub, "DOWNLOAD_DEADLINE_S", 0.5)
+    monkeypatch.setattr(hub, "DOWNLOAD_TIMEOUT_S", 1.0)
+    cache = tmp_path / "cache"
+    threads = set(threading.enumerate())
+    try:
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/slow.zip"
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="took longer than 0.5 s"):
+            hub.fetch(url, hashlib.sha256(b"body").hexdigest(), cache_dir=cache)
+        assert time.monotonic() - started < 1.5
+        assert set(threading.enumerate()) == threads  # the watchdog timer is gone
+    finally:
+        stop.set()
+        thread.join(5.0)
+        listener.close()
+    assert not thread.is_alive()
+    assert list(cache.iterdir()) == []  # no archive and no .tmp- file
+
+
 def test_default_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(hub.CACHE_ENV_VAR, str(tmp_path / "alt"))
     assert hub.default_cache_dir() == tmp_path / "alt"
@@ -472,3 +517,16 @@ def test_install_cross_checks_index_against_archive(tmp_path, tiny_config):
     consumer = AdapterModel(tiny_config, seed=4)
     with pytest.raises(RegistryError):
         hub.install_from_hub(consumer, [lying], "sst", cache_dir=tmp_path / "cache2")
+
+
+def test_install_refuses_an_archive_that_contradicts_its_card(tmp_path, tiny_config):
+    publisher = AdapterModel(tiny_config, seed=3)
+    publisher.add_adapter("sst-2", reduction_factor=2)
+    _, _, entry = _publish(publisher, "sst-2", tmp_path)
+    consumer = AdapterModel(dataclasses.replace(tiny_config, vocab_size=65), seed=4)
+    other_backbone = hub.HubEntry(**{**entry.to_dict(), "model_config_hash": consumer.config.config_hash()})
+    with pytest.raises(RegistryError, match="contains model hash"):
+        hub.install_from_hub(consumer, [other_backbone], "sst", cache_dir=tmp_path / "cache")
+    renamed = hub.HubEntry(**{**entry.to_dict(), "adapter_id": "sst-3"})
+    with pytest.raises(RegistryError, match="archive metadata names 'sst-2', index says 'sst-3'"):
+        hub.install_from_hub(AdapterModel(tiny_config, seed=4), [renamed], "sst", cache_dir=tmp_path / "cache")

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import os
+import struct
 import sys
 import tracemalloc
 import zipfile
@@ -100,6 +101,18 @@ def test_truncation_is_detected(tmp_path, tiny_config):
     with pytest.raises(PackageFormatError):
         pio.parse_adapter_package(b"NOTA" + data[4:])
 
+
+def test_container_refuses_a_missing_manifest_and_a_blob_of_the_wrong_length(tmp_path, tiny_config):
+    entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=4)
+    path = tmp_path / "t.pkg"
+    pio.save_adapter_package(path, tiny_config, entry)
+    header, manifest, blob = split_package(path.read_bytes())
+    body = b"ADPK" + struct.pack("<IQ", 1, len(header)) + header + b"\0" * 7  # no room for a length
+    with pytest.raises(PackageFormatError, match="file truncated before manifest"):
+        pio.parse_adapter_package(body + hashlib.sha256(body).digest())
+    for cut in (blob[:-4], blob + b"\0" * 4):
+        with pytest.raises(PackageFormatError, match=f"blob is {len(cut)} bytes, manifest lists {len(blob)}"):
+            pio.parse_adapter_package(join_package(header, manifest, cut))
 
 def test_save_rejects_mismatched_tensors(tmp_path, tiny_config):
     entry = _random_entry(tiny_config, AdapterConfig(reduction_factor=2), seed=5)
