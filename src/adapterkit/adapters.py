@@ -128,6 +128,13 @@ _PRESETS = {
     ),
 }
 PRESET_NAMES = tuple(_PRESETS)
+_WIRING = tuple(f.name for f in fields(AdapterConfig) if f.name != "reduction_factor")
+_PRESET_BY_WIRING = {tuple(getattr(cfg, n) for n in _WIRING): name for name, cfg in _PRESETS.items()}
+
+
+def preset_name(config):
+    """The name of the preset ``config`` instantiates at its own reduction factor, or None."""
+    return _PRESET_BY_WIRING.get(tuple(getattr(config, n) for n in _WIRING))
 
 
 def preset(name, reduction_factor=None):

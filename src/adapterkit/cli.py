@@ -19,7 +19,6 @@ import yaml
 
 from . import hub, package_io, training
 from .adapters import ADAPTER_TYPES, PRESET_NAMES
-from .adapters import preset as adapter_preset
 from .backbone import ModelConfig
 from .errors import (AdapterKitError, CompatibilityError, HubLookupError, MetadataError,
                      PackageFormatError, RegistryError, TransportError)
@@ -134,14 +133,6 @@ def _load_runtime(checkpoint_path, pkg):
     return model
 
 
-def _match_preset(config):
-    """Name the preset this config instantiates, if any."""
-    for name in PRESET_NAMES:
-        if config == adapter_preset(name, reduction_factor=config.reduction_factor):
-            return name
-    return None
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -233,24 +224,13 @@ def cmd_run(args):
 def cmd_pack(args):
     pkg = package_io.load_adapter_package(args.package)
     zip_path = Path(args.out)
-    embedded = {
-        "adapter_id": args.adapter_id,
-        "adapter_type": pkg.adapter_type,
-        "level2": args.level2,
-        "level3": args.level3,
-        "model_type": pkg.model_config.model_type,
-        "model_config_hash": pkg.model_config_hash,
-        "adapter_config_hash": pkg.adapter_config_hash,
-    }
-    for key, value in (("description", args.description), ("author", args.author)):
-        if value:
-            embedded[key] = value
+    chosen = {"adapter_id": args.adapter_id, "level2": args.level2, "level3": args.level3,
+              "description": args.description or None, "author": args.author or None}
     # refuse a card the hub would reject before anything is written; only the archive's
     # digest needs the archive, and any 64 hex digits stand in for it here
-    card = {**embedded, "url": args.url or zip_path.resolve().as_uri(), "sha256": "0" * 64,
-            "preset": _match_preset(pkg.adapter_config),
-            "reduction_factor": pkg.adapter_config.reduction_factor}
-    entry = hub.ingest_metadata(card)
+    entry = hub.ingest_metadata({**hub.archive_card(pkg, chosen), "sha256": "0" * 64,
+                                 "url": args.url or zip_path.resolve().as_uri()})
+    embedded = {k: v for k, v in entry.to_dict().items() if k not in hub.LOCATION_FIELDS}
     entry.sha256 = package_io.pack_archive(zip_path, args.package, embedded)
     if args.card:
         package_io._atomic_write_bytes(
@@ -329,7 +309,8 @@ def build_parser():
     p.add_argument("--task", choices=training.TASKS, required=True)
     p.add_argument("--mode", choices=training.MODES, default=training.TrainConfig.mode)
     p.add_argument("--adapter-name", default=None)
-    p.add_argument("--preset", default="pfeiffer", choices=PRESET_NAMES)
+    p.add_argument("--preset", choices=PRESET_NAMES,
+                   default=inspect.signature(AdapterModel.add_adapter).parameters["config"].default)
     p.add_argument("--reduction-factor", type=int, default=None)
     p.add_argument("--steps", type=int, default=training.TrainConfig.max_steps)
     p.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)

@@ -10,6 +10,10 @@ cache keyed by the archive's sha256 (so a repeated fetch is a local hit and
 Identifiers live in a three-level hierarchy: adapter type (task or language),
 then a category, then the concrete dataset or variant, e.g.
 ``text_task / sentiment / sst-2``.
+
+A card is what its archive says: :func:`archive_card` is the one rule for the fields an
+archive fixes. ``adapterkit pack`` writes both the card and the archive's metadata through it,
+and :func:`install_from_hub` refuses a card that contradicts it.
 """
 
 import contextlib
@@ -31,7 +35,7 @@ from urllib.parse import urlsplit
 import yaml
 
 from . import package_io
-from .adapters import ADAPTER_TYPES
+from .adapters import ADAPTER_TYPES, preset_name
 from .codec import as_count, load_yaml
 from .errors import (AmbiguousQueryError, ChecksumError, HubLookupError,
                      MetadataError, RegistryError, TransportError)
@@ -47,6 +51,7 @@ _DOWNLOAD_CHUNK = 1 << 20  # read1() allocates its size argument up front, so ne
 _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _ID_PATTERN = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 _URL_SCHEMES = ("file", "http", "https")  # what a card may name and fetch() downloads
+LOCATION_FIELDS = ("url", "sha256")  # card fields that say where an archive lives, not what it is
 
 
 @dataclass
@@ -308,7 +313,8 @@ _OPENER = urllib.request.build_opener(_WatchedHandler)
 def _download(url, sha256):
     """Yield the body at ``url`` chunk by chunk, hashed as it passes, then raise
     :class:`ChecksumError` if its SHA-256 is not ``sha256``, so a writer drops the mismatch.
-    A fetch still running ``DOWNLOAD_DEADLINE_S`` after the start raises :class:`TransportError`."""
+    A fetch still running ``DOWNLOAD_DEADLINE_S`` after the start, or a body that ends short of its
+    declared ``Content-Length``, raises :class:`TransportError`."""
     h, size = hashlib.sha256(), 0
     deadline = _fetching.deadline = time.monotonic() + DOWNLOAD_DEADLINE_S
     timers = _fetching.timers = []
@@ -324,6 +330,7 @@ def _download(url, sha256):
                     raise TransportError(f"{url} is larger than {DOWNLOAD_MAX_BYTES} bytes")
                 h.update(chunk)
                 yield chunk
+            missing = getattr(resp, "length", None)  # declared http bytes not received; None for file://
     except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError) as exc:
         if time.monotonic() <= deadline:  # past it, the failure is the watchdog's shutdown: see below
             raise TransportError(f"fetch failed for {url}: {exc}") from None
@@ -333,6 +340,8 @@ def _download(url, sha256):
             timer.join()
     if time.monotonic() > deadline:
         raise TransportError(f"{url} took longer than {DOWNLOAD_DEADLINE_S} s")
+    if missing:
+        raise TransportError(f"{url} was cut off {missing} bytes short of its declared length")
     actual = h.hexdigest()
     if actual != sha256:
         raise ChecksumError(
@@ -365,24 +374,31 @@ def fetch(url, sha256, cache_dir=None):
     return dest, True
 
 
+def archive_card(pkg, metadata):
+    """The card fields an archive fixes: its ``metadata`` mapping, overruled by what its
+    package :class:`~adapterkit.package_io.AdapterPackage` says (a ``preset`` of None when
+    its config is no preset). :func:`install_from_hub` refuses a card that says otherwise."""
+    return {**metadata, "adapter_type": pkg.adapter_type, "model_type": pkg.model_config.model_type,
+            "model_config_hash": pkg.model_config_hash, "adapter_config_hash": pkg.adapter_config_hash,
+            "reduction_factor": pkg.adapter_config.reduction_factor,
+            "preset": preset_name(pkg.adapter_config)}
+
+
 def install_from_hub(model, entries, query, cache_dir=None, rename=None):
     """Resolve, fetch, verify, and register an adapter in one step.
 
-    Returns ``(registered name, resolved entry, downloaded flag)``.
+    Every field of the resolved card but ``LOCATION_FIELDS`` must equal what :func:`archive_card`
+    reads from the archive, where it states the field; a card that contradicts its archive
+    raises :class:`RegistryError` and registers nothing. Returns ``(registered name, resolved
+    entry, downloaded flag)``.
     """
     entry = resolve(entries, query, model_config_hash=model.config.config_hash())
     path, downloaded = fetch(entry.url, entry.sha256, cache_dir)
     pkg, metadata = package_io.read_archive(path)
-    if pkg.model_config_hash != entry.model_config_hash:
-        raise RegistryError(
-            f"archive for {entry.adapter_id!r} contains model hash "
-            f"{pkg.model_config_hash[:12]}..., index advertises {entry.model_config_hash[:12]}...")
-    if pkg.adapter_config_hash != entry.adapter_config_hash:
-        raise RegistryError(
-            f"archive for {entry.adapter_id!r} contains adapter config hash "
-            f"{pkg.adapter_config_hash[:12]}..., index advertises {entry.adapter_config_hash[:12]}...")
-    if metadata.get("adapter_id") not in (None, entry.adapter_id):
-        raise RegistryError(
-            f"archive metadata names {metadata.get('adapter_id')!r}, index says {entry.adapter_id!r}")
+    archived = archive_card(pkg, metadata)
+    for key, value in entry.to_dict().items():
+        if key not in LOCATION_FIELDS and archived.get(key, value) != value:
+            raise RegistryError(
+                f"card for {entry.adapter_id!r} says {key} {value!r}, its archive says {archived[key]!r}")
     name = model.load_adapter(pkg, rename=rename)
     return name, entry, downloaded

@@ -1,12 +1,26 @@
 import dataclasses
 import hashlib
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from adapterkit import AdapterModel, ModelConfig
 from adapterkit import package_io as pio
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a thread it started running, after waiting up to 1 s for it."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    left = [thread.name for thread in set(threading.enumerate()) - before if thread.is_alive()]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

@@ -23,6 +23,12 @@ def test_bottleneck_clamps_with_warning():
         assert resolve_bottleneck(4, 100) == 1  # never below 1
 
 
+@pytest.mark.parametrize("hidden_size, reduction_factor", [(0, 16), (64, 0), (-64, 16), (64, -2)])
+def test_bottleneck_refuses_a_size_that_is_not_positive(hidden_size, reduction_factor):
+    with pytest.raises(ValueError, match="must be positive"):
+        resolve_bottleneck(hidden_size, reduction_factor)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AdapterConfig(reduction_factor=0)

@@ -283,6 +283,19 @@ def test_cross_entropy_refuses_a_label_count_that_is_not_the_row_count():
         with pytest.raises(ShapeMismatchError, match=r"logits \(4, 3\) with labels shape"):
             ad.cross_entropy(logits, labels)
 
+def test_mean_squared_error_refuses_a_target_of_another_shape():
+    with pytest.raises(ShapeMismatchError, match=r"mean_squared_error: \(2, 3\) vs \(3, 2\)"):
+        ad.mean_squared_error(ad.tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+
+
+def test_tensor_repr_names_shape_and_provenance():
+    x = ad.tensor(np.ones((2, 3)), requires_grad=True)
+    assert repr(ad.tensor(np.ones(2))) == "Tensor(shape=(2,))"
+    assert repr(x) == "Tensor(shape=(2, 3) (requires_grad))"
+    with ad.Tape():
+        assert repr(ad.relu(x)) == "Tensor(shape=(2, 3) (from relu))"
+
+
 def test_backward_requires_scalar_attached_loss():
     rng = np.random.default_rng(17)
     x = _t(rng, 2, 2, requires_grad=True)

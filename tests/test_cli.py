@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from adapterkit import package_io
+from adapterkit import hub, package_io
 from adapterkit.adapters import AdapterConfig
 from adapterkit.backbone import ModelConfig, init_backbone
 from adapterkit.cli import (_model_config, build_parser, main, read_labels, read_sequences, write_labels,
@@ -368,6 +369,33 @@ def test_pack_of_a_config_that_is_no_preset_writes_no_preset(tmp_path, capsys, t
                  "--adapter-id", "odd", "--level2", "toy", "--level3", "odd", "--card", str(card)]) == 0
     assert "preset" not in json.loads(capsys.readouterr().out)["card"]
     assert "preset" not in yaml.safe_load(card.read_text(encoding="utf-8"))
+
+
+def test_pack_embeds_its_card_and_the_card_installs(tmp_path, capsys, tiny_config):
+    """The archive's metadata is the validated card without url and sha256, so install accepts it."""
+    model = AdapterModel(tiny_config, seed=1)
+    model.add_adapter("sst-2", config="bapna", reduction_factor=2)
+    model.save_adapter("sst-2", tmp_path / "sst-2.pkg")
+    archive, card = tmp_path / "sst-2.zip", tmp_path / "sst-2.yaml"
+    assert main(["pack", "--package", str(tmp_path / "sst-2.pkg"), "--out", str(archive),
+                 "--adapter-id", "sst-2", "--level2", "sentiment", "--level3", "sst-2",
+                 "--description", " padded ", "--card", str(card)]) == 0
+    written = json.loads(capsys.readouterr().out)["card"]
+    assert (written["description"], written["preset"], written["reduction_factor"]) == ("padded", "bapna", 2)
+    _, metadata = package_io.read_archive(archive)
+    assert metadata == {k: v for k, v in written.items() if k not in ("url", "sha256")}
+    index = tmp_path / "index.json"
+    assert main(["index", "--cards", str(card), "--out", str(index)]) == 0
+    capsys.readouterr()
+    consumer = AdapterModel(tiny_config, seed=2)
+    entries = hub.parse_index(index.read_text(encoding="utf-8"))
+    assert hub.install_from_hub(consumer, entries, "sst-2", cache_dir=tmp_path / "cache")[0] == "sst-2"
+    assert consumer.get_adapter("sst-2").config == model.get_adapter("sst-2").config
+
+
+def test_train_preset_defaults_to_add_adapters():
+    args = build_parser().parse_args(["train", "--task", "copy-first-label", "--out-dir", "x"])
+    assert args.preset == inspect.signature(AdapterModel.add_adapter).parameters["config"].default
 
 
 def test_run_refuses_bad_inputs_labels_and_a_headless_package(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import dataclasses
+import datetime
 import hashlib
+import ipaddress
 import json
 import socket
+import ssl
 import threading
 import time
 import tracemalloc
@@ -452,6 +455,126 @@ def test_fetch_bounds_drip_fed_headers(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []  # no archive and no .tmp- file
 
 
+def _serve_once(listener, respond):
+    """Accept one connection on ``listener`` in a thread, read the request and ``respond(conn)``."""
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)  # the request
+            respond(conn)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return thread
+
+
+def _listener(context=None):
+    """A localhost listening socket, TLS when ``context`` is given, whose accept waits at most 5 s."""
+    try:
+        listener = socket.create_server(("127.0.0.1", 0))
+    except OSError:
+        pytest.skip("cannot bind a localhost socket here")
+    listener.settimeout(5.0)
+    return context.wrap_socket(listener, server_side=True) if context else listener
+
+
+def test_fetch_reports_a_cut_off_body_as_a_transport_failure(tmp_path):
+    """A mirror that declares 10 bytes, sends 4 and hangs up fails the transport, not the checksum."""
+    listener = _listener()
+    thread = _serve_once(listener, lambda conn: conn.sendall(
+        b"HTTP/1.0 200 OK\r\nContent-Length: 10\r\n\r\nbody"))
+    cache = tmp_path / "cache"
+    try:
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/cut.zip"
+        with pytest.raises(TransportError, match="cut off 6 bytes short"):
+            hub.fetch(url, hashlib.sha256(b"body").hexdigest(), cache_dir=cache)
+    finally:
+        thread.join(5.0)
+        listener.close()
+    assert list(cache.iterdir()) == []  # no archive and no .tmp- file
+
+
+@pytest.fixture
+def tls_server_context(tmp_path, monkeypatch):
+    """A server-side TLS context for 127.0.0.1, its self-signed certificate trusted through
+    ``SSL_CERT_FILE``, which the https handler's default context reads when it connects."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder().subject_name(name).issuer_name(name).public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(hours=1))
+            .not_valid_after(now + datetime.timedelta(hours=1))
+            .add_extension(x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+                           critical=False)
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            .sign(key, hashes.SHA256()))
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_path, key_path)
+    return context
+
+
+def test_fetch_over_https_verifies_and_caches(tmp_path, tls_server_context):
+    payload = b"https served archive"
+    listener = _listener(tls_server_context)
+    thread = _serve_once(listener, lambda conn: conn.sendall(
+        b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(payload), payload)))
+    cache = tmp_path / "cache"
+    sha = hashlib.sha256(payload).hexdigest()
+    try:
+        url = f"https://127.0.0.1:{listener.getsockname()[1]}/a.zip"
+        path, downloaded = hub.fetch(url, sha, cache_dir=cache)
+        assert downloaded and path.read_bytes() == payload
+        assert hub.fetch(url, sha, cache_dir=cache) == (path, False)  # a cache hit: no second connection
+    finally:
+        thread.join(5.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_fetch_over_https_bounds_a_drip_fed_status_line(tmp_path, monkeypatch, tls_server_context):
+    stop = threading.Event()
+
+    def drip(conn):
+        for byte in b"HTTP/1.0 200 OK\r\nContent-Length: 4\r\n\r\nbody":
+            if stop.wait(0.2):
+                return
+            try:
+                conn.sendall(bytes([byte]))
+            except OSError:  # the client hung up
+                return
+
+    listener = _listener(tls_server_context)
+    thread = _serve_once(listener, drip)
+    monkeypatch.setattr(hub, "DOWNLOAD_DEADLINE_S", 0.5)
+    monkeypatch.setattr(hub, "DOWNLOAD_TIMEOUT_S", 1.0)
+    cache = tmp_path / "cache"
+    threads = set(threading.enumerate())
+    try:
+        url = f"https://127.0.0.1:{listener.getsockname()[1]}/slow.zip"
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="took longer than 0.5 s"):
+            hub.fetch(url, hashlib.sha256(b"body").hexdigest(), cache_dir=cache)
+        assert time.monotonic() - started < 1.5
+        assert set(threading.enumerate()) == threads  # the watchdog timer is gone
+    finally:
+        stop.set()
+        thread.join(5.0)
+        listener.close()
+    assert not thread.is_alive()
+    assert list(cache.iterdir()) == []  # no archive and no .tmp- file
+
+
 def test_default_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(hub.CACHE_ENV_VAR, str(tmp_path / "alt"))
     assert hub.default_cache_dir() == tmp_path / "alt"
@@ -525,8 +648,36 @@ def test_install_refuses_an_archive_that_contradicts_its_card(tmp_path, tiny_con
     _, _, entry = _publish(publisher, "sst-2", tmp_path)
     consumer = AdapterModel(dataclasses.replace(tiny_config, vocab_size=65), seed=4)
     other_backbone = hub.HubEntry(**{**entry.to_dict(), "model_config_hash": consumer.config.config_hash()})
-    with pytest.raises(RegistryError, match="contains model hash"):
+    with pytest.raises(RegistryError, match=f"says model_config_hash '{consumer.config.config_hash()}', "
+                                            f"its archive says '{entry.model_config_hash}'"):
         hub.install_from_hub(consumer, [other_backbone], "sst", cache_dir=tmp_path / "cache")
     renamed = hub.HubEntry(**{**entry.to_dict(), "adapter_id": "sst-3"})
-    with pytest.raises(RegistryError, match="archive metadata names 'sst-2', index says 'sst-3'"):
+    with pytest.raises(RegistryError, match="says adapter_id 'sst-3', its archive says 'sst-2'"):
         hub.install_from_hub(AdapterModel(tiny_config, seed=4), [renamed], "sst", cache_dir=tmp_path / "cache")
+
+
+@pytest.mark.parametrize("field, lie", [("adapter_type", "text_lang"), ("model_type", "roberta"),
+                                        ("level2", "lang"), ("preset", "houlsby"), ("reduction_factor", 64)])
+def test_install_refuses_a_card_that_contradicts_its_archive_on_any_field(tmp_path, tiny_config, field, lie):
+    publisher = AdapterModel(tiny_config, seed=3)
+    publisher.add_adapter("sst-2", reduction_factor=2)  # pfeiffer, on text_task / sentiment
+    _, _, entry = _publish(publisher, "sst-2", tmp_path)
+    truth = {**entry.to_dict(), "preset": "pfeiffer", "reduction_factor": 2}
+    consumer = AdapterModel(tiny_config, seed=4)
+    lying = hub.HubEntry(**{**truth, field: lie})
+    with pytest.raises(RegistryError, match=f"says {field} {lie!r}, its archive says {truth[field]!r}"):
+        hub.install_from_hub(consumer, [lying], "sst", cache_dir=tmp_path / "cache")
+    assert consumer.list_adapters() == []
+    hub.install_from_hub(consumer, [hub.HubEntry(**truth)], "sst", cache_dir=tmp_path / "cache")
+    assert consumer.list_adapters() == ["sst-2"]
+
+
+def test_install_refuses_a_preset_on_a_card_whose_archive_is_no_preset(tmp_path, tiny_config):
+    publisher = AdapterModel(tiny_config, seed=3)
+    publisher.add_adapter("odd", config=AdapterConfig(reduction_factor=2, non_linearity="tanh"))
+    _, _, entry = _publish(publisher, "odd", tmp_path)
+    consumer = AdapterModel(tiny_config, seed=4)
+    lying = hub.HubEntry(**{**entry.to_dict(), "preset": "pfeiffer"})
+    with pytest.raises(RegistryError, match="says preset 'pfeiffer', its archive says None"):
+        hub.install_from_hub(consumer, [lying], "odd", cache_dir=tmp_path / "cache")
+    assert consumer.list_adapters() == []
